@@ -53,6 +53,7 @@ from .oracle import (
 )
 from .weights import (
     BoundViolated,
+    MultiplierOverflow,
     StabilityConstants,
     WeightReport,
     WeightSpec,
@@ -70,6 +71,7 @@ __all__ = [
     "GridMismatch",
     "IllPosedWeight",
     "InverseReport",
+    "MultiplierOverflow",
     "NonElliptic",
     "OnsetInvalid",
     "OperatorSpec",

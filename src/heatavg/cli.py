@@ -13,6 +13,7 @@ fails admissibility.
 from __future__ import annotations
 
 import argparse
+import configparser
 import sys
 from pathlib import Path
 
@@ -48,6 +49,7 @@ EXIT_ILL_POSED = 4
 
 _INPUT_ERRORS = (
     OSError,
+    configparser.Error,
     ValueError,
     GridMismatch,
     TruncationTooLarge,

@@ -3,13 +3,18 @@
 Mode k of an initial state decays as exp(-lambda_k t); a source contributes
 through the Duhamel integral
 
-    integral_0^t phi_k(s) exp(-lambda_k (t - s)) ds,
+    integral_0^t phi_k(s) exp(-lambda_k (t - s)) ds.
 
-which is evaluated in closed form because sources are tabulated piecewise
-linear in time.  Applying the weighted time average to these evolutions
-gives the two building blocks of the inverse pipeline: the diagonal action
-on initial coefficients (multiplier times coefficient) and the source
-contribution, integrated against the weight with composite Gauss panels.
+Sources are tabulated piecewise linear in time and weights are piecewise
+constant, so one exact kernel serves every use of this integral: a
+recursion over the knots in the exponential-integrator functions
+phi_1, phi_2, phi_3 (Hochbruck & Ostermann, Acta Numerica 2010) gives the
+Duhamel term of all modes at the knots, at any batch of times, and its
+integral against the weight.  Applying the weighted time average to these
+evolutions gives the two building blocks of the inverse pipeline: the
+diagonal action on initial coefficients (multiplier times coefficient) and
+the source contribution, both exact up to rounding.  Independent
+verification of either is the finite-difference oracle's job.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .basis import (
     same_grid,
     _frozen,
 )
-from .weights import WeightSpec, _decay_integral
+from .weights import WeightSpec
 
 
 class TimeOutOfRange(ValueError):
@@ -40,24 +45,33 @@ class OnsetInvalid(ValueError):
     """Terminal weighting requires the source to be regular strictly before the horizon."""
 
 
-_RAMP_SERIES_CUTOFF = 0.02
+_PHI_SERIES_CUTOFF = 1.0
+_PHI_SERIES_TERMS = 20  # truncation below 1/21! relative for |z| < 1
 
 
-def _ramp_integral(lam, width):
-    """integral_0^width s*exp(-lam*s) ds, stable for small lam*width.
+def _phis(z: np.ndarray, order: int) -> list[np.ndarray]:
+    """[phi_0(z), ..., phi_order(z)] elementwise, where phi_0 = exp and
+    h^k phi_k(-lam h) = integral_0^h exp(-lam (h - s)) s^(k-1) / (k-1)! ds.
 
-    Equals width^2 * g(z) with z = lam*width and
-    g(z) = (1 - (1+z)exp(-z)) / z^2; g is evaluated by series below the
-    cancellation cutoff.
+    Away from 0 the recurrence phi_{k+1} = (phi_k - 1/k!) / z is used; it
+    cancels as z -> 0, so below the cutoff the Taylor series
+    sum_j z^j / (j + k)! is summed instead (lam = 0 is then exact).
     """
-    lam = np.asarray(lam, dtype=float)
-    z = lam * width
-    small = np.abs(z) < _RAMP_SERIES_CUTOFF
-    zs = np.where(small, z, 1.0)
-    series = 0.5 - zs / 3.0 + zs**2 / 8.0 - zs**3 / 30.0 + zs**4 / 144.0
-    zb = np.where(small, 1.0, z)
-    direct = (1.0 - (1.0 + zb) * np.exp(-zb)) / zb**2
-    return width**2 * np.where(small, series, direct)
+    small = np.abs(z) < _PHI_SERIES_CUTOFF
+    zs = z[small]
+    zd = np.where(small, 1.0, z)
+    phis = [np.exp(z)]
+    direct = np.expm1(zd) / zd
+    for k in range(1, order + 1):
+        if k > 1:
+            direct = (direct - 1.0 / math.factorial(k - 1)) / zd
+        series = np.zeros_like(zs)
+        for j in range(_PHI_SERIES_TERMS - 1, -1, -1):
+            series = series * zs + 1.0 / math.factorial(j + k)
+        phi = direct.copy()
+        phi[small] = series
+        phis.append(phi)
+    return phis
 
 
 @dataclass(frozen=True)
@@ -204,7 +218,7 @@ class SolutionField:
         between stored rows otherwise."""
         if self.es is not None and self.alpha is not None:
             coeffs = _coeffs_at(self.alpha, self.source, self.es, float(t), self.horizon)
-            return GridFunction(self.grid, coeffs @ self.es.modes)
+            return GridFunction(self.grid, coeffs[0] @ self.es.modes)
         t = float(t)
         if not self.times[0] <= t <= self.times[-1]:
             raise TimeOutOfRange(f"t = {t:g} outside [{self.times[0]:g}, {self.times[-1]:g}]")
@@ -235,45 +249,73 @@ def evolve_homogeneous(xi: SpectralVector, t: float, horizon: float = math.inf) 
 
 
 def duhamel(src: SourceTerm, k: int, t: float, es: EigenSystem | None = None) -> float:
-    """Source contribution to mode k at time t (closed form per linear piece)."""
+    """Source contribution to mode k at time t (exact for the linear pieces)."""
     es = es or src.es
     if es is None:
         raise ValueError("source has no eigensystem; pass one explicitly")
-    return float(_duhamel_all(src, es, t)[k])
+    return float(_duhamel_at(src, es, t)[0, k])
 
 
-def _duhamel_all(src: SourceTerm, es: EigenSystem, t: float) -> np.ndarray:
-    """Vector of Duhamel integrals over all modes at time t."""
-    if t < 0.0 or t > src.horizon * (1.0 + 1e-12):
-        raise TimeOutOfRange(f"t = {t:g} outside the source tabulation")
-    lam = es.lambdas
+def _checked_times(times, horizon: float) -> np.ndarray:
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    bad = (times < 0.0) | (times > horizon * (1.0 + 1e-12))
+    if np.any(bad):
+        raise TimeOutOfRange(f"t = {times[bad][0]:g} outside [0, {horizon:g}]")
+    return times
+
+
+def _knot_states(src: SourceTerm, es: EigenSystem, breaks=()):
+    """Knots (source knots merged with ``breaks``), the source a_i + b_i (t - t_i)
+    on each segment, the Duhamel states D_i of all modes at the knots, the
+    segment widths h_i (a column) and [phi_0 .. phi_3] at z = -lambda h_i.
+    The states step as D_{i+1} = e^z D_i + h_i phi_1 a_i + h_i^2 phi_2 b_i.
+    """
+    times = src.times
+    knots = np.union1d(times, np.clip(np.asarray(breaks, dtype=float), 0.0, src.horizon))
     coeffs = src.coefficients(es)
-    out = np.zeros(es.n_modes)
-    for i in range(src.times.size - 1):
-        s0 = float(src.times[i])
-        if s0 >= t:
-            break
-        s1_full = float(src.times[i + 1])
-        s1 = min(s1_full, t)
-        width = s1 - s0
-        if width <= 0.0:
-            continue
-        a = coeffs[i]
-        b = (coeffs[i + 1] - coeffs[i]) / (s1_full - s0)
-        lag = np.exp(-lam * (t - s1))
-        base = _decay_integral(lam, width)
-        ramp = width * base - _ramp_integral(lam, width)
-        out += lag * (a * base + b * ramp)
+    piece = np.searchsorted(times, knots[:-1], side="right") - 1
+    b = (np.diff(coeffs, axis=0) / np.diff(times)[:, None])[piece]
+    a = coeffs[piece] + (knots[:-1] - times[piece])[:, None] * b
+    h = np.diff(knots)[:, None]
+    phi = _phis(-h * es.lambdas, 3)
+    gain = h * phi[1] * a + h**2 * phi[2] * b
+    states = np.zeros((knots.size, es.n_modes))
+    for i in range(h.size):
+        states[i + 1] = phi[0][i] * states[i] + gain[i]
+    return knots, a, b, states, h, phi
+
+
+def _duhamel_at(src: SourceTerm, es: EigenSystem, times) -> np.ndarray:
+    """Duhamel term of all modes at each of ``times``, one row per time,
+    stepped exactly from the knot at or before it."""
+    times = _checked_times(times, src.horizon)
+    knots, a, b, states, _, _ = _knot_states(src, es)
+    i = np.clip(np.searchsorted(knots, times, side="right") - 1, 0, knots.size - 2)
+    w = (times - knots[i])[:, None]
+    phi = _phis(-w * es.lambdas, 2)
+    return phi[0] * states[i] + w * phi[1] * a[i] + w**2 * phi[2] * b[i]
+
+
+def _source_average(src: SourceTerm, es: EigenSystem, ws: WeightSpec) -> np.ndarray:
+    """kappa D(T) + integral_0^T w(t) D(t) dt for all modes, in closed form:
+    a segment with weight v adds v (h phi_1 D_i + h^2 phi_2 a_i + h^3 phi_3 b_i)."""
+    if abs(src.horizon - ws.horizon) > 1e-12 * ws.horizon:
+        raise ValueError("source tabulation does not span the weight horizon")
+    knots, a, b, states, h, phi = _knot_states(src, es, ws.breakpoints())
+    v = np.asarray(ws.value_at(0.5 * (knots[:-1] + knots[1:])))
+    out = v @ (h * phi[1] * states[:-1] + h**2 * phi[2] * a + h**3 * phi[3] * b)
+    if ws.kappa != 0.0:
+        out = out + ws.kappa * states[-1]
     return out
 
 
 def _coeffs_at(alpha: SpectralVector, src: SourceTerm | None, es: EigenSystem,
-               t: float, horizon: float) -> np.ndarray:
-    if t < 0.0 or t > horizon * (1.0 + 1e-12):
-        raise TimeOutOfRange(f"t = {t:g} outside [0, {horizon:g}]")
-    coeffs = alpha.coeffs * np.exp(-es.lambdas * t)
+               times, horizon: float) -> np.ndarray:
+    """Field coefficients at each of ``times``, one row per time."""
+    times = _checked_times(times, horizon)
+    coeffs = alpha.coeffs * np.exp(-np.multiply.outer(times, es.lambdas))
     if src is not None:
-        coeffs = coeffs + _duhamel_all(src, es, t)
+        coeffs = coeffs + _duhamel_at(src, es, times)
     return coeffs
 
 
@@ -293,9 +335,7 @@ def solve_forward(xi: SpectralVector, src: SourceTerm | None = None,
     if times is None:
         times = np.linspace(0.0, horizon, 129)
     times = np.asarray(times, dtype=float)
-    coeffs = np.empty((times.size, es.n_modes))
-    for j, t in enumerate(times):
-        coeffs[j] = _coeffs_at(xi, src, es, float(t), horizon)
+    coeffs = _coeffs_at(xi, src, es, times, horizon)
     values = coeffs @ es.modes
     return SolutionField(grid=es.grid, times=times, values=values, es=es,
                          coeffs=coeffs, alpha=xi, source=src)
@@ -310,70 +350,25 @@ def average_from_initial(xi: SpectralVector, ws: WeightSpec) -> SpectralVector:
     return SpectralVector(xi.es, xi.coeffs * ws.multiplier(xi.es.lambdas))
 
 
-def _gauss_panels(breaks: np.ndarray, max_width: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss nodes/weights on panels refined below ``max_width``."""
-    ref_x, ref_w = np.polynomial.legendre.leggauss(order)
-    nodes, wts = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        spans = max(1, int(math.ceil((b - a) / max_width - 1e-12)))
-        edges = np.linspace(a, b, spans + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            nodes.append(0.5 * (lo + hi) + half * ref_x)
-            wts.append(half * ref_w)
-    return np.concatenate(nodes), np.concatenate(wts)
-
-
-def _merged_breaks(ws: WeightSpec, src: SourceTerm) -> np.ndarray:
-    pts = np.concatenate([ws.breakpoints(), src.times])
-    pts = np.unique(np.clip(pts, 0.0, ws.horizon))
-    keep = np.concatenate([[True], np.diff(pts) > 1e-14 * ws.horizon])
-    return pts[keep]
-
-
 def average_from_source(src: SourceTerm, ws: WeightSpec,
                         es: EigenSystem | None = None) -> SpectralVector:
-    """Weighted time average of the zero-initial evolution driven by ``src``.
-
-    The outer integral against the weight runs composite two-point Gauss on
-    panels refined to the union of weight and source breakpoints.
-    """
+    """Weighted time average of the zero-initial evolution driven by ``src``,
+    exact up to rounding (closed-form weight integrals over the knot states)."""
     es = es or src.es
     if es is None:
         raise ValueError("source has no eigensystem; pass one explicitly")
     if ws.kappa != 0.0 and src.onset >= ws.horizon:
         raise OnsetInvalid("terminal weighting requires onset < horizon")
-    if abs(src.horizon - ws.horizon) > 1e-12 * ws.horizon:
-        raise ValueError("source tabulation does not span the weight horizon")
-    out = np.zeros(es.n_modes)
-    nodes, wts = _gauss_panels(_merged_breaks(ws, src), ws.horizon / 512.0, order=2)
-    wvals = ws.value_at(nodes)
-    for t, wt, wv in zip(nodes, wts, wvals):
-        if wv != 0.0:
-            out += wt * wv * _duhamel_all(src, es, float(t))
-    if ws.kappa != 0.0:
-        out += ws.kappa * _duhamel_all(src, es, ws.horizon)
-    return SpectralVector(es, out)
+    return SpectralVector(es, _source_average(src, es, ws))
 
 
 def weighted_average(field: SolutionField, ws: WeightSpec) -> SpectralVector:
-    """Apply the averaged measurement to a spectral field.
-
-    The homogeneous part is exact through the multipliers; the source part
-    is integrated with fourth-order Gauss panels, deliberately different
-    from the quadrature used by `average_from_source` so the two can
-    cross-check each other.
-    """
+    """Apply the averaged measurement to a spectral field, exactly: the
+    multipliers for the homogeneous part, `average_from_source`'s kernel for
+    the source part."""
     if field.es is None or field.alpha is None:
         raise ValueError("weighted_average needs a spectrally built field")
     out = field.alpha.coeffs * ws.multiplier(field.es.lambdas)
     if field.source is not None:
-        src = field.source
-        nodes, wts = _gauss_panels(_merged_breaks(ws, src), ws.horizon / 320.0, order=4)
-        wvals = ws.value_at(nodes)
-        for t, wt, wv in zip(nodes, wts, wvals):
-            if wv != 0.0:
-                out = out + wt * wv * _duhamel_all(src, field.es, float(t))
-        if ws.kappa != 0.0:
-            out = out + ws.kappa * _duhamel_all(src, field.es, ws.horizon)
+        out = out + _source_average(field.source, field.es, ws)
     return SpectralVector(field.es, out)

@@ -150,9 +150,10 @@ def solve_inverse(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec,
 
     With a source the data is first reduced by the source's own averaged
     contribution, the initial coefficients are recovered from the remainder,
-    and the evolution is rebuilt from both.  The report's residual re-applies
-    the measurement to the recovered field, so it reflects the outer
-    quadrature, not just the diagonal algebra.
+    and the evolution is rebuilt from both.  The source average is exact, and
+    the report's residual re-applies the measurement to the recovered field
+    through the same kernel, so it checks the algebra up to rounding;
+    independent verification of the source average is the oracle's job.
     """
     gamma = _checked_projection(mu, es)
     report = ws.validate()

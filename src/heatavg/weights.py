@@ -33,6 +33,15 @@ class BoundViolated(RuntimeError):
     """A computed multiplier escaped its proven band; indicates a code bug."""
 
 
+class MultiplierOverflow(ValueError):
+    """A multiplier is not finite: exp(-lambda t) overflows for an eigenvalue
+    far below zero.  ``mode`` is the 1-based index of the first such entry."""
+
+    def __init__(self, mode: int, lam: float):
+        super().__init__(f"multiplier is not finite at mode {mode} (lambda = {lam:g})")
+        self.mode = mode
+
+
 @dataclass(frozen=True)
 class WeightReport:
     """Outcome of the admissibility check; violations name the failed clause."""
@@ -200,12 +209,17 @@ class WeightSpec:
 
     def multiplier(self, lam):
         """Closed-form factor by which mode(s) with eigenvalue ``lam`` are
-        scaled in the averaged measurement.  Vectorized over ``lam``."""
+        scaled in the averaged measurement.  Vectorized over ``lam``; raises
+        `MultiplierOverflow` rather than return an infinite or NaN entry."""
         lam = np.asarray(lam, dtype=float)
         out = np.zeros(lam.shape)
         for s, e, v in self.pieces:
             out = out + v * np.exp(-lam * s) * _decay_integral(lam, e - s)
-        out = out + self.kappa * np.exp(-lam * self.horizon)
+        if self.kappa != 0.0:  # kappa = 0 must not meet an overflowed exp as 0*inf
+            out = out + self.kappa * np.exp(-lam * self.horizon)
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            raise MultiplierOverflow(int(bad[0]) + 1, float(lam.flat[bad[0]]))
         if out.ndim == 0:
             return float(out)
         return out

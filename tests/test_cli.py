@@ -120,6 +120,14 @@ def test_missing_file_is_input_error(small_setup, tmp_path):
     assert proc.returncode == 3
 
 
+def test_duplicate_config_section_is_input_error(tmp_path):
+    cfg = write_config(tmp_path / "run.cfg")
+    cfg.write_text(cfg.read_text() + "\n[weight]\ncase = average\n")
+    proc = run_cli("spectrum", cfg, "--out-dir", tmp_path / "out", cwd=tmp_path)
+    assert proc.returncode == 3
+    assert "input error" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_unknown_command_is_input_error(tmp_path):
     proc = run_cli("frobnicate", "x.cfg", cwd=tmp_path)
     assert proc.returncode == 3

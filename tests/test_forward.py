@@ -266,3 +266,54 @@ def test_source_grid_history_round_trip(pi_es):
     src = ha.SourceTerm.from_modal(pi_es, times, coeffs)
     again = ha.SourceTerm.from_grid_history(pi_es.grid, times, src.values, es=pi_es)
     assert np.max(np.abs(again.coefficients(pi_es) - coeffs)) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def zero_mode_case():
+    # q = -(pi/L)^2 makes the first eigenvalue exactly 0, where the phi-functions
+    # of the exact kernel switch to their series
+    grid = ha.Grid.uniform(np.pi, 129)
+    es = ha.build_eigensystem(ha.OperatorSpec.constant(np.pi, q=-1.0), grid, 12)
+    rng = np.random.default_rng(29)
+    knots = np.array([0.0, 0.013, 0.041, 0.07, T])
+    src = ha.SourceTerm.from_modal(es, knots, rng.standard_normal((knots.size, es.n_modes)))
+    return es, knots, src
+
+
+def _pieces_quad(fn, breaks, hi, n=20):
+    """Fixed-order Gauss of fn on every piece of ``breaks`` below ``hi``."""
+    edges = np.append(breaks[breaks < hi], hi)
+    return sum(fixed_quad(fn, a, b, n=n)[0] for a, b in zip(edges[:-1], edges[1:]))
+
+
+def test_source_average_matches_fine_quadrature_of_duhamel(zero_mode_case):
+    es, knots, src = zero_mode_case
+    assert es.lambdas[0] == 0.0
+    # kappa > 0, a gap over (0.055, 0.08), weight breakpoints off the source knots
+    ws = ha.WeightSpec.from_pieces(
+        0.6, ((0.0, 0.027, 1.5), (0.027, 0.055, 0.4), (0.08, T, 2.0)), T)
+    breaks = np.union1d(knots, ws.breakpoints())
+    exact = ha.average_from_source(src, ws).coeffs
+    for k in (0, 1, 5, 11):
+        def integrand(ts):
+            return ws.value_at(ts) * np.array([ha.duhamel(src, k, t) for t in ts])
+
+        reference = ws.kappa * ha.duhamel(src, k, T) + _pieces_quad(integrand, breaks, T)
+        assert exact[k] == pytest.approx(reference, rel=1e-10)
+
+
+def test_solve_forward_off_knot_times_match_duhamel(zero_mode_case):
+    es, knots, src = zero_mode_case
+    coeffs = src.coefficients(es)
+    times = np.array([0.0, 0.004, 0.013, 0.0275, 0.069, 0.0855, T])
+    zero = ha.SpectralVector(es, np.zeros(es.n_modes))
+    field = ha.solve_forward(zero, src, times=times)
+    for k in (0, 1, 5, 11):
+        lam = es.lambdas[k]
+        for j, t in enumerate(times):
+            def integrand(s):
+                return np.interp(s, knots, coeffs[:, k]) * np.exp(-lam * (t - s))
+
+            reference = _pieces_quad(integrand, knots, t)
+            assert ha.duhamel(src, k, t) == pytest.approx(reference, rel=1e-12, abs=1e-15)
+            assert field.coeffs[j, k] == pytest.approx(ha.duhamel(src, k, t), rel=1e-14, abs=1e-16)

@@ -56,6 +56,23 @@ def test_multiplier_at_lambda_zero_uses_limit():
     assert ws.multiplier(0.0) == pytest.approx(2.0 * 0.04 + 1.0 * 0.06 + 0.5, rel=1e-15)
 
 
+def test_multiplier_without_terminal_term_ignores_overflowed_exponential():
+    # kappa = 0 with exp(-lam T) = inf: the terminal term must not enter as 0 * inf = nan
+    ws = ha.WeightSpec.from_pieces(0.0, ((0.0, 1.0, 1.0),), 10.0)
+    with np.errstate(over="ignore"):
+        assert ws.multiplier(-100.0) == pytest.approx(math.expm1(100.0) / 100.0, rel=1e-14)
+
+
+def test_non_finite_multiplier_raises_naming_first_mode():
+    ws = ha.WeightSpec.average(10.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ha.MultiplierOverflow, match="mode 1 "):
+            ws.multiplier(-2000.0)
+        with pytest.raises(ValueError) as exc:
+            ws.multiplier(np.array([1.0, -1.0, -2000.0, -3000.0]))
+    assert isinstance(exc.value, ha.MultiplierOverflow) and exc.value.mode == 3
+
+
 def test_multiplier_matches_quadrature_on_many_pieces():
     # independent oracle: adaptive quadrature of w(t)exp(-lam t) per piece
     rng = np.random.default_rng(42)
