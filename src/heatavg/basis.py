@@ -276,7 +276,7 @@ def build_eigensystem(op: OperatorSpec, grid: Grid, n_modes: int) -> EigenSystem
         modes[flip] *= -1.0
 
     if not np.all(np.diff(lambdas) > 0.0):
-        raise RuntimeError("eigenvalues are not strictly increasing; discretization is corrupt")
+        raise ValueError("eigenvalues are not distinct in double precision")
     first_positive = int(np.searchsorted(lambdas, 0.0, side="right"))
     return EigenSystem(
         op=op,

@@ -37,7 +37,7 @@ from .fileio import (
     write_grid_csv,
 )
 from .forward import OnsetInvalid, TimeOutOfRange, solve_forward
-from .inverse import BoundaryViolation, IllPosedWeight, recover_initial, solve_inverse
+from .inverse import BoundaryViolation, IllPosedWeight, _invert, recover_initial, solve_inverse
 from .oracle import BreakpointUnresolved, SingularStep, StepperConfig, step_evolution, time_average
 from .profiles import cusp_bump, oscillatory_bump
 from .weights import BoundViolated, _constants_unchecked
@@ -204,10 +204,7 @@ def _cmd_invert(cfg: RunConfig, args) -> int:
 
     if not cfg.weight.validate().ok:
         # override path: write the blow-up diagnostics, keep the ill-posed exit code
-        rep = recover_initial(mu, cfg.weight, es, allow_ill_posed=True)
-        mult = np.asarray(cfg.weight.multiplier(es.lambdas))
-        with np.errstate(divide="ignore", over="ignore"):
-            amp = np.where(mult == 0.0, np.inf, 1.0 / np.abs(mult))
+        rep, amp = _invert(mu, None, cfg.weight, es, allow_ill_posed=True, stacklevel=2)
         lines = ["k,lambda,amplification"]
         for i in range(es.n_modes):
             lines.append(f"{i + 1},{es.lambdas[i]:.17g},{amp[i]:.17g}")

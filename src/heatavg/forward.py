@@ -34,7 +34,7 @@ from .basis import (
     same_grid,
     _frozen,
 )
-from .weights import WeightSpec
+from .weights import MultiplierOverflow, WeightSpec
 
 
 class TimeOutOfRange(ValueError):
@@ -311,11 +311,16 @@ def _source_average(src: SourceTerm, es: EigenSystem, ws: WeightSpec) -> np.ndar
 
 def _coeffs_at(alpha: SpectralVector, src: SourceTerm | None, es: EigenSystem,
                times, horizon: float) -> np.ndarray:
-    """Field coefficients at each of ``times``, one row per time."""
+    """Field coefficients at each of ``times``, one row per time; raises
+    `MultiplierOverflow` for the first mode whose column is not finite."""
     times = _checked_times(times, horizon)
-    coeffs = alpha.coeffs * np.exp(-np.multiply.outer(times, es.lambdas))
-    if src is not None:
-        coeffs = coeffs + _duhamel_at(src, es, times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = alpha.coeffs * np.exp(-np.multiply.outer(times, es.lambdas))
+        if src is not None:
+            coeffs = coeffs + _duhamel_at(src, es, times)
+    bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=0))
+    if bad.size:
+        raise MultiplierOverflow(int(bad[0]) + 1, float(es.lambdas[bad[0]]))
     return coeffs
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import EigenSystem, GridFunction, SpectralVector, project, synthesize
-from .forward import SolutionField, SourceTerm, average_from_source, solve_forward, weighted_average
+from .forward import SolutionField, SourceTerm, average_from_source, solve_forward
 from .weights import StabilityConstants, WeightSpec, stability_constants
 
 
@@ -37,14 +37,15 @@ class IllPosedWeight(ValueError):
 class InverseReport:
     """Diagnostics attached to a recovered initial state.
 
-    ``residual_mu`` is the L2 distance between the prescribed average and
-    the re-applied forward average of the recovered state;
-    ``truncation_residual`` is the part of the data the retained modes
-    cannot represent; ``amplification`` is the largest reciprocal
-    multiplier that was used; ``h2_tail_fraction`` measures how much of the
-    curvature-norm sum comes from the last decade of modes (large values
-    mean the data's second-derivative norm has not converged and the
-    stability guarantee is shaky).
+    ``residual_mu`` is the coefficient 2-norm of the re-applied average
+    minus the data, ``||alpha * multiplier + source average - gamma||`` over
+    the retained modes (NaN for an inadmissible weight); truncation is
+    reported separately, as ``truncation_residual``, the L2 norm of the part
+    of the data the retained modes cannot represent; ``amplification`` is
+    the largest reciprocal multiplier that was used; ``h2_tail_fraction``
+    measures how much of the curvature-norm sum comes from the last decade
+    of modes (large values mean the data's second-derivative norm has not
+    converged and the stability guarantee is shaky).
     """
 
     xi: SpectralVector
@@ -86,6 +87,58 @@ def norm_h2(f: GridFunction, es: EigenSystem) -> float:
     return value
 
 
+def _invert(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec, es: EigenSystem,
+            allow_ill_posed: bool = False, stacklevel: int = 3) -> tuple[InverseReport, np.ndarray]:
+    """The one inversion step: subtract the source's averaged contribution
+    (if any) from the data's eigencoefficients and divide by the multipliers.
+
+    Returns the report and the per-mode amplification 1/|multiplier|.  The
+    smoothness warning is issued ``stacklevel`` frames up, i.e. at the line
+    that called the public function.
+    """
+    gamma = _checked_projection(mu, es)
+    report = ws.validate()
+    if not (report.ok or allow_ill_posed):
+        raise IllPosedWeight("; ".join(report.violations))
+    stability = stability_constants(ws, es) if report.ok else None
+
+    source_avg = 0.0 if src is None else average_from_source(src, ws, es).coeffs
+    reduced = gamma - source_avg
+    mult = np.asarray(ws.multiplier(es.lambdas))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha = reduced / mult
+        amp = np.where(mult == 0.0, np.inf, 1.0 / np.abs(mult))
+
+    residual = float("nan")
+    if report.ok:
+        replay = alpha * mult
+        scale = 1.0 + float(np.max(np.abs(reduced)))
+        if float(np.max(np.abs(replay - reduced))) > 1e-12 * scale:
+            raise RuntimeError("re-applied average drifted from the data; inversion is corrupt")
+        residual = float(np.linalg.norm(replay + source_avg - gamma))
+
+    back = synthesize(SpectralVector(es, gamma), es)
+    truncation = GridFunction(mu.grid, mu.values - back.values).norm_l2()
+    h2_value, tail = _h2_surrogate(gamma, es.lambdas)
+    if tail > 0.01:
+        warnings.warn(
+            "curvature-norm partial sums have not converged "
+            f"(last decade of modes contributes {100 * tail:.1f}%); "
+            "the prescribed average may lack the smoothness the stability "
+            "guarantee assumes",
+            stacklevel=stacklevel,
+        )
+    return InverseReport(
+        xi=SpectralVector(es, alpha),
+        residual_mu=residual,
+        amplification=float(np.max(amp)),
+        stability=stability,
+        h2_norm_mu=h2_value,
+        truncation_residual=truncation,
+        h2_tail_fraction=tail,
+    ), amp
+
+
 def recover_initial(mu: GridFunction, ws: WeightSpec, es: EigenSystem,
                     allow_ill_posed: bool = False) -> InverseReport:
     """Divide the data's eigencoefficients by the multipliers.
@@ -95,53 +148,7 @@ def recover_initial(mu: GridFunction, ws: WeightSpec, es: EigenSystem,
     anyway (possibly producing non-finite coefficients) purely so the
     report can document the amplification.
     """
-    gamma = _checked_projection(mu, es)
-    report = ws.validate()
-    stability = None
-    if report.ok:
-        stability = stability_constants(ws, es)
-    elif not allow_ill_posed:
-        raise IllPosedWeight("; ".join(report.violations))
-
-    mult = np.asarray(ws.multiplier(es.lambdas))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        alpha = gamma / mult
-        amplification = float(np.max(np.abs(np.where(mult == 0.0, np.inf, 1.0 / mult))))
-    xi = SpectralVector(es, np.nan_to_num(alpha, nan=0.0, posinf=np.inf, neginf=-np.inf)
-                        if not report.ok else alpha)
-
-    if report.ok:
-        replay = xi.coeffs * mult
-        scale = 1.0 + float(np.max(np.abs(gamma)))
-        if float(np.max(np.abs(replay - gamma))) > 1e-12 * scale:
-            raise RuntimeError("re-applied average drifted from the data; inversion is corrupt")
-
-    back = synthesize(SpectralVector(es, gamma), es)
-    truncation = GridFunction(mu.grid, mu.values - back.values).norm_l2()
-    if report.ok:
-        applied = synthesize(SpectralVector(es, xi.coeffs * mult), es)
-        residual = GridFunction(mu.grid, mu.values - applied.values).norm_l2()
-    else:
-        residual = float("nan")
-
-    h2_value, tail = _h2_surrogate(gamma, es.lambdas)
-    if tail > 0.01:
-        warnings.warn(
-            "curvature-norm partial sums have not converged "
-            f"(last decade of modes contributes {100 * tail:.1f}%); "
-            "the prescribed average may lack the smoothness the stability "
-            "guarantee assumes",
-            stacklevel=2,
-        )
-    return InverseReport(
-        xi=xi,
-        residual_mu=residual,
-        amplification=amplification,
-        stability=stability,
-        h2_norm_mu=h2_value,
-        truncation_residual=truncation,
-        h2_tail_fraction=tail,
-    )
+    return _invert(mu, None, ws, es, allow_ill_posed)[0]
 
 
 def solve_inverse(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec,
@@ -150,44 +157,11 @@ def solve_inverse(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec,
 
     With a source the data is first reduced by the source's own averaged
     contribution, the initial coefficients are recovered from the remainder,
-    and the evolution is rebuilt from both.  The source average is exact, and
-    the report's residual re-applies the measurement to the recovered field
-    through the same kernel, so it checks the algebra up to rounding;
-    independent verification of the source average is the oracle's job.
+    and the evolution is rebuilt from both.  The report is the one
+    `recover_initial` gives for the same data and weight; its residual adds
+    the source average back to the re-applied multipliers, so it checks the
+    algebra up to rounding.  The source average is exact; independent
+    verification of it is the oracle's job.
     """
-    gamma = _checked_projection(mu, es)
-    report = ws.validate()
-    if not report.ok:
-        raise IllPosedWeight("; ".join(report.violations))
-    stability = stability_constants(ws, es)
-
-    reduced = gamma
-    if src is not None:
-        reduced = gamma - average_from_source(src, ws, es).coeffs
-    mult = np.asarray(ws.multiplier(es.lambdas))
-    alpha = SpectralVector(es, reduced / mult)
-    amplification = float(np.max(1.0 / mult))
-
-    field = solve_forward(alpha, src, times=times, horizon=ws.horizon)
-
-    applied = weighted_average(field, ws)
-    residual = float(np.linalg.norm(applied.coeffs - gamma))
-    back = synthesize(SpectralVector(es, gamma), es)
-    truncation = GridFunction(mu.grid, mu.values - back.values).norm_l2()
-    h2_value, tail = _h2_surrogate(gamma, es.lambdas)
-    if tail > 0.01:
-        warnings.warn(
-            "curvature-norm partial sums have not converged "
-            f"(last decade of modes contributes {100 * tail:.1f}%)",
-            stacklevel=2,
-        )
-    rep = InverseReport(
-        xi=alpha,
-        residual_mu=residual,
-        amplification=amplification,
-        stability=stability,
-        h2_norm_mu=h2_value,
-        truncation_residual=truncation,
-        h2_tail_fraction=tail,
-    )
-    return field, rep
+    rep, _ = _invert(mu, src, ws, es)
+    return solve_forward(rep.xi, src, times=times, horizon=ws.horizon), rep

@@ -213,10 +213,11 @@ class WeightSpec:
         `MultiplierOverflow` rather than return an infinite or NaN entry."""
         lam = np.asarray(lam, dtype=float)
         out = np.zeros(lam.shape)
-        for s, e, v in self.pieces:
-            out = out + v * np.exp(-lam * s) * _decay_integral(lam, e - s)
-        if self.kappa != 0.0:  # kappa = 0 must not meet an overflowed exp as 0*inf
-            out = out + self.kappa * np.exp(-lam * self.horizon)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            for s, e, v in self.pieces:
+                out = out + v * np.exp(-lam * s) * _decay_integral(lam, e - s)
+            if self.kappa != 0.0:  # kappa = 0 must not meet an overflowed exp as 0*inf
+                out = out + self.kappa * np.exp(-lam * self.horizon)
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             raise MultiplierOverflow(int(bad[0]) + 1, float(lam.flat[bad[0]]))

@@ -9,6 +9,7 @@ import pytest
 
 import heatavg as ha
 from heatavg.fileio import read_grid_csv, read_space_time_csv, write_field_csv, write_grid_csv
+from heatavg.profiles import cusp_bump
 
 L = 2 * np.pi
 T = 0.1
@@ -128,6 +129,26 @@ def test_duplicate_config_section_is_input_error(tmp_path):
     assert "input error" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_forward_overflow_is_input_error(small_setup, tmp_path):
+    cfg, grid, _, es = small_setup
+    cfg.write_text(cfg.read_text().replace("q = 0.0", "q = -10000.0"))
+    write_grid_csv(tmp_path / "xi.csv", ha.GridFunction(grid, es.modes[0]))
+    out = tmp_path / "out"
+    proc = run_cli("forward", cfg, tmp_path / "xi.csv", "--out-dir", out, cwd=tmp_path)
+    assert proc.returncode == 3
+    assert "multiplier is not finite" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (out / "forward.csv").exists()
+
+
+def test_tied_eigenvalues_are_input_error(tmp_path):
+    # lambda_k = k^2/4 + 1e20 rounds to the same double for every retained k
+    cfg = write_config(tmp_path / "run.cfg")
+    cfg.write_text(cfg.read_text().replace("q = 0.0", "q = 1e20"))
+    proc = run_cli("spectrum", cfg, "--out-dir", tmp_path / "out", cwd=tmp_path)
+    assert proc.returncode == 3
+    assert "not distinct" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_unknown_command_is_input_error(tmp_path):
     proc = run_cli("frobnicate", "x.cfg", cwd=tmp_path)
     assert proc.returncode == 3
@@ -209,6 +230,17 @@ def test_ill_posed_override_writes_amplification(small_setup, tmp_path):
     rows = (out / "amplification.csv").read_text().splitlines()[1:]
     amps = np.array([float(r.split(",")[2]) for r in rows[:40]])
     assert np.any(amps > 1e12)
+
+
+def test_ill_posed_override_warning_names_the_cli(small_setup, tmp_path):
+    cfg = write_config(tmp_path / "ill.cfg", weight="kappa = 1.0\ncase = zero")
+    _, grid, *_ = small_setup
+    write_grid_csv(tmp_path / "mu.csv", ha.GridFunction(grid, cusp_bump(grid.nodes, L)))
+    proc = run_cli("invert", cfg, tmp_path / "mu.csv", "--allow-ill-posed",
+                   "--out-dir", tmp_path / "out", cwd=tmp_path)
+    assert proc.returncode == 4
+    warning = next(line for line in proc.stderr.splitlines() if "not converged" in line)
+    assert "cli.py" in warning, proc.stderr
 
 
 def test_weight_table_config(tmp_path):

@@ -317,3 +317,15 @@ def test_solve_forward_off_knot_times_match_duhamel(zero_mode_case):
             reference = _pieces_quad(integrand, knots, t)
             assert ha.duhamel(src, k, t) == pytest.approx(reference, rel=1e-12, abs=1e-15)
             assert field.coeffs[j, k] == pytest.approx(ha.duhamel(src, k, t), rel=1e-14, abs=1e-16)
+
+
+@pytest.mark.parametrize("with_source", [False, True], ids=["initial", "source"])
+def test_solve_forward_overflow_raises_named_error(with_source):
+    # lambda_1 = 1 - 1e4: exp(-lambda t) overflows well before t = T
+    grid = ha.Grid.uniform(np.pi, 65)
+    es = ha.build_eigensystem(ha.OperatorSpec.constant(np.pi, q=-1e4), grid, 8)
+    xi = ha.SpectralVector(es, np.zeros(8) if with_source else np.ones(8))
+    src = _const_source(es, 0, 1.0, T) if with_source else None
+    with pytest.raises(ha.MultiplierOverflow, match="mode 1 ") as exc:
+        ha.solve_forward(xi, src, times=np.linspace(0.0, T, 5), horizon=T)
+    assert exc.value.mode == 1

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +62,21 @@ def test_override_documents_exponential_amplification(default_es):
     assert 1 < crossing <= 40
     assert rep.amplification > 1e12
     assert rep.stability is None
+
+
+def test_override_keeps_the_raw_quotient(default_es):
+    # multipliers underflow to 0 in the tail, so zero data gives 0/0 there:
+    # the report shows the NaN coefficients rather than masking them
+    ws = ha.WeightSpec.terminal(T, kappa=1.0)
+    mu = ha.GridFunction.zeros(default_es.grid)
+    rep = ha.recover_initial(mu, ws, default_es, allow_ill_posed=True)
+    gamma = ha.project(mu, default_es).coeffs
+    mult = np.asarray(ws.multiplier(default_es.lambdas))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = gamma / mult
+    np.testing.assert_array_equal(rep.xi.coeffs, expected)
+    assert np.any(np.isnan(rep.xi.coeffs))
+    assert math.isnan(rep.residual_mu) and rep.amplification == math.inf
 
 
 def test_norm_h2_examples(pi_es):
@@ -225,3 +241,32 @@ def test_smooth_data_does_not_warn(pi_es, avg_ws, recwarn):
     rep = ha.recover_initial(mu, avg_ws, pi_es)
     assert rep.h2_tail_fraction <= 0.01
     assert not any(isinstance(w.message, UserWarning) for w in recwarn.list)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("ws", [ha.WeightSpec.average(T), ha.WeightSpec.quasi_boundary(T, 0.01)],
+                         ids=["average", "quasi"])
+def test_recover_initial_and_solve_inverse_report_alike(default_es, ws):
+    # rough data with a visible truncation residual, so a residual that
+    # folded truncation in would differ from the coefficient norm
+    grid = default_es.grid
+    mu = ha.GridFunction(grid, cusp_bump(grid.nodes, grid.length))
+    rep = ha.recover_initial(mu, ws, default_es)
+    _, rep_field = ha.solve_inverse(mu, None, ws, default_es)
+    assert rep.truncation_residual > 1e-6
+    assert np.array_equal(rep.xi.coeffs, rep_field.xi.coeffs)
+    for name in ("residual_mu", "amplification", "truncation_residual", "h2_tail_fraction"):
+        assert getattr(rep, name) == getattr(rep_field, name), name
+    gamma = ha.project(mu, default_es).coeffs
+    replay = rep.xi.coeffs * ws.multiplier(default_es.lambdas)
+    assert rep.residual_mu == pytest.approx(np.linalg.norm(replay - gamma), rel=1e-12, abs=0)
+
+
+def test_smoothness_warning_names_the_caller(default_es, avg_ws):
+    grid = default_es.grid
+    mu = ha.GridFunction(grid, cusp_bump(grid.nodes, grid.length))
+    with pytest.warns(UserWarning, match="not converged") as record:
+        ha.recover_initial(mu, avg_ws, default_es)
+        ha.solve_inverse(mu, None, avg_ws, default_es)
+    assert len(record) == 2
+    assert all(Path(w.filename) == Path(__file__) for w in record)

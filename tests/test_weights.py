@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,13 @@ def test_non_finite_multiplier_raises_naming_first_mode():
         with pytest.raises(ValueError) as exc:
             ws.multiplier(np.array([1.0, -1.0, -2000.0, -3000.0]))
     assert isinstance(exc.value, ha.MultiplierOverflow) and exc.value.mode == 3
+
+
+def test_overflowing_multiplier_raises_without_numpy_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ha.MultiplierOverflow):
+            ha.WeightSpec.average(10.0).multiplier(-2000.0)
 
 
 def test_multiplier_matches_quadrature_on_many_pieces():
