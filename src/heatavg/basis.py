@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 
 class NonElliptic(ValueError):
@@ -114,16 +113,6 @@ class GridFunction:
     @classmethod
     def zeros(cls, grid: Grid) -> "GridFunction":
         return cls(grid, np.zeros(grid.n_nodes))
-
-    def is_dirichlet(self, tol: float = 0.0) -> bool:
-        """True when both endpoint values vanish (zero-trace function)."""
-        bound = tol * (1.0 + float(np.max(np.abs(self.values))))
-        return abs(self.values[0]) <= bound and abs(self.values[-1]) <= bound
-
-    def inner(self, other: "GridFunction") -> float:
-        if not same_grid(self.grid, other.grid):
-            raise GridMismatch("functions live on different grids")
-        return float(np.sum(self.grid.trapezoid_weights() * self.values * other.values))
 
     def norm_l2(self) -> float:
         return float(np.sqrt(np.sum(self.grid.trapezoid_weights() * self.values**2)))
@@ -263,6 +252,8 @@ def build_eigensystem(op: OperatorSpec, grid: Grid, n_modes: int) -> EigenSystem
         modes[:, -1] = 0.0
         delta = float(op.diffusion)
     else:
+        from scipy.linalg import eigh_tridiagonal
+
         a_mid, a0_nodes, delta = op.sample(grid)
         h = grid.h
         diag = (a_mid[:-1] + a_mid[1:]) / h**2 - a0_nodes[1:-1]

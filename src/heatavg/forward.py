@@ -242,10 +242,14 @@ class SolutionField:
 
 
 def evolve_homogeneous(xi: SpectralVector, t: float, horizon: float = math.inf) -> SpectralVector:
-    """Decay the coefficients over time t with no source."""
+    """Decay the coefficients over time t with no source; raises
+    `MultiplierOverflow` for the first mode whose coefficient is not finite."""
     if t < 0.0 or t > horizon:
         raise TimeOutOfRange(f"t = {t:g} outside [0, {horizon:g}]")
-    return SpectralVector(xi.es, xi.coeffs * np.exp(-xi.es.lambdas * t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = xi.coeffs * np.exp(-xi.es.lambdas * t)
+    _check_finite_modes(coeffs, xi.es)
+    return SpectralVector(xi.es, coeffs)
 
 
 def duhamel(src: SourceTerm, k: int, t: float, es: EigenSystem | None = None) -> float:
@@ -268,7 +272,8 @@ def _knot_states(src: SourceTerm, es: EigenSystem, breaks=()):
     """Knots (source knots merged with ``breaks``), the source a_i + b_i (t - t_i)
     on each segment, the Duhamel states D_i of all modes at the knots, the
     segment widths h_i (a column) and [phi_0 .. phi_3] at z = -lambda h_i.
-    The states step as D_{i+1} = e^z D_i + h_i phi_1 a_i + h_i^2 phi_2 b_i.
+    The states step as D_{i+1} = e^z D_i + h_i phi_1 a_i + h_i^2 phi_2 b_i;
+    `MultiplierOverflow` names the first mode whose states are not finite.
     """
     times = src.times
     knots = np.union1d(times, np.clip(np.asarray(breaks, dtype=float), 0.0, src.horizon))
@@ -277,11 +282,13 @@ def _knot_states(src: SourceTerm, es: EigenSystem, breaks=()):
     b = (np.diff(coeffs, axis=0) / np.diff(times)[:, None])[piece]
     a = coeffs[piece] + (knots[:-1] - times[piece])[:, None] * b
     h = np.diff(knots)[:, None]
-    phi = _phis(-h * es.lambdas, 3)
-    gain = h * phi[1] * a + h**2 * phi[2] * b
     states = np.zeros((knots.size, es.n_modes))
-    for i in range(h.size):
-        states[i + 1] = phi[0][i] * states[i] + gain[i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = _phis(-h * es.lambdas, 3)
+        gain = h * phi[1] * a + h**2 * phi[2] * b
+        for i in range(h.size):
+            states[i + 1] = phi[0][i] * states[i] + gain[i]
+    _check_finite_modes(states, es)
     return knots, a, b, states, h, phi
 
 
@@ -318,10 +325,16 @@ def _coeffs_at(alpha: SpectralVector, src: SourceTerm | None, es: EigenSystem,
         coeffs = alpha.coeffs * np.exp(-np.multiply.outer(times, es.lambdas))
         if src is not None:
             coeffs = coeffs + _duhamel_at(src, es, times)
-    bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=0))
+    _check_finite_modes(coeffs, es)
+    return coeffs
+
+
+def _check_finite_modes(coeffs: np.ndarray, es: EigenSystem) -> None:
+    """Raise `MultiplierOverflow` for the first mode (last axis) with a
+    non-finite entry: exp(-lambda t) overflowed for an eigenvalue far below 0."""
+    bad = np.flatnonzero(~np.isfinite(coeffs.reshape(-1, es.n_modes)).all(axis=0))
     if bad.size:
         raise MultiplierOverflow(int(bad[0]) + 1, float(es.lambdas[bad[0]]))
-    return coeffs
 
 
 def solve_forward(xi: SpectralVector, src: SourceTerm | None = None,

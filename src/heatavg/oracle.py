@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .basis import GridFunction, OperatorSpec, same_grid
 from .forward import SolutionField, SourceTerm
@@ -57,7 +56,14 @@ class StepperConfig:
 
 def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
                    horizon: float, cfg: StepperConfig) -> SolutionField:
-    """March the diffusion forward from ``xi`` with Crank-Nicolson steps."""
+    """March the diffusion forward from ``xi`` with Crank-Nicolson steps.
+
+    The step matrix I - (dt/2) A is LU-factored once per distinct step size
+    (LAPACK ``dgttrf``); each step then forms its right-hand side and does
+    one tridiagonal back-solve (``dgttrs``).
+    """
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     grid = xi.grid
     if grid.n_nodes != cfg.n_nodes:
         raise ValueError("config n_nodes does not match the initial state's grid")
@@ -74,31 +80,57 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     upper = a_mid[1:-1] / h**2
 
     times = cfg.time_grid(horizon)
-    n_int = grid.n_nodes - 2
     values = np.zeros((times.size, grid.n_nodes))
-    values[0] = xi.values
-    values[0, 0] = 0.0
-    values[0, -1] = 0.0
+    values[0, 1:-1] = xi.values[1:-1]
 
-    u = values[0, 1:-1].copy()
-    phi_now = src.values_at(0.0)[1:-1] if src is not None else None
+    if src is not None:
+        # knot piece and interpolation fraction of every step time, as
+        # SourceTerm.values_at finds them; the rows are combined per step
+        knots, rows = src.times, src.values[:, 1:-1]
+        piece = np.clip(np.searchsorted(knots, times, side="right") - 1, 0, knots.size - 2)
+        frac = (times - knots[piece]) / np.diff(knots)[piece]
+
+        def source_at(j):
+            if times[j] <= knots[0]:
+                return rows[0]
+            if times[j] >= knots[-1]:
+                return rows[-1]
+            i, s = piece[j], frac[j]
+            return (1.0 - s) * rows[i] + s * rows[i + 1]
+
+        phi_now = source_at(0)
+
+    # The Dirichlet rows join the system as unit rows with zero right-hand
+    # side: the boundary stays exactly zero, and the system has the three or
+    # more unknowns scipy's dgttrf wrapper needs even on a 3-node grid.
+    factors = {}
+    rhs_full = np.zeros(grid.n_nodes)
+    u = values[0, 1:-1]
     for n in range(times.size - 1):
         dt = times[n + 1] - times[n]
-        ab = np.zeros((3, n_int))
-        ab[0, 1:] = -0.5 * dt * upper
-        ab[1, :] = 1.0 - 0.5 * dt * diag
-        ab[2, :-1] = -0.5 * dt * lower
+        if dt not in factors:
+            dl = np.zeros(grid.n_nodes - 1)
+            d = np.ones(grid.n_nodes)
+            du = np.zeros(grid.n_nodes - 1)
+            du[1:-1] = -0.5 * dt * upper
+            d[1:-1] = 1.0 - 0.5 * dt * diag
+            dl[1:-1] = -0.5 * dt * lower
+            *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+            if info > 0:
+                raise SingularStep(f"implicit matrix singular at step {n}")
+            # 0.5 * dt * upper * u[1:] evaluates 0.5 * dt * upper first,
+            # so caching that product leaves every step's bits unchanged
+            factors[dt] = lu, 0.5 * dt * upper, 0.5 * dt * lower
+        lu, half_upper, half_lower = factors[dt]
         rhs = u + 0.5 * dt * (diag * u)
-        rhs[:-1] += 0.5 * dt * upper * u[1:]
-        rhs[1:] += 0.5 * dt * lower * u[:-1]
+        rhs[:-1] += half_upper * u[1:]
+        rhs[1:] += half_lower * u[:-1]
         if src is not None:
-            phi_next = src.values_at(float(times[n + 1]))[1:-1]
+            phi_next = source_at(n + 1)
             rhs += 0.5 * dt * (phi_now + phi_next)
             phi_now = phi_next
-        try:
-            u = solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularStep(f"implicit matrix singular at step {n}") from exc
+        rhs_full[1:-1] = rhs
+        u = dgttrs(*lu, rhs_full)[0][1:-1]
         if not np.all(np.isfinite(u)):
             raise SingularStep(f"non-finite state at step {n}")
         values[n + 1, 1:-1] = u

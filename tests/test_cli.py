@@ -15,15 +15,26 @@ L = 2 * np.pi
 T = 0.1
 
 
-def run_cli(*args, cwd):
-    # The child runs in ``cwd``, where a relative PYTHONPATH would not resolve:
+def child_env():
+    # A child runs in another cwd, where a relative PYTHONPATH would not resolve:
     # put the imported package's directory first and make inherited entries absolute.
     package_root = str(Path(ha.__file__).resolve().parents[1])
     inherited = [os.path.abspath(p)
                  for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, *inherited])}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, *inherited])}
+
+
+def run_cli(*args, cwd):
     return subprocess.run([sys.executable, "-m", "heatavg", *map(str, args)],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+                          cwd=cwd, env=child_env(), capture_output=True, text=True)
+
+
+def test_import_does_not_load_scipy(tmp_path):
+    # scipy is imported where it is used: the tabulated eigensolve and the oracle
+    proc = subprocess.run(
+        [sys.executable, "-c", "import heatavg, sys; assert 'scipy' not in sys.modules"],
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def write_config(path, *, weight="case = average", n_modes=60, n_nodes=257,

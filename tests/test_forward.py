@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -328,4 +329,24 @@ def test_solve_forward_overflow_raises_named_error(with_source):
     src = _const_source(es, 0, 1.0, T) if with_source else None
     with pytest.raises(ha.MultiplierOverflow, match="mode 1 ") as exc:
         ha.solve_forward(xi, src, times=np.linspace(0.0, T, 5), horizon=T)
+    assert exc.value.mode == 1
+
+
+_OVERFLOW_CALLS = {
+    "average_from_source": lambda es, src: ha.average_from_source(src, ha.WeightSpec.average(T), es),
+    "evolve_homogeneous": lambda es, src: ha.evolve_homogeneous(ha.SpectralVector(es, np.ones(8)), T),
+    "duhamel": lambda es, src: ha.duhamel(src, 0, T, es),
+}
+
+
+@pytest.mark.parametrize("call", list(_OVERFLOW_CALLS))
+def test_overflow_raises_named_error_without_numpy_warning(call):
+    # lambda_1 = 1 - 1e4: the Duhamel states and exp(-lambda T) overflow
+    grid = ha.Grid.uniform(np.pi, 65)
+    es = ha.build_eigensystem(ha.OperatorSpec.constant(np.pi, q=-1e4), grid, 8)
+    src = ha.SourceTerm.from_modal(es, np.linspace(0.0, T, 3), np.ones((3, 8)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ha.MultiplierOverflow, match="mode 1 ") as exc:
+            _OVERFLOW_CALLS[call](es, src)
     assert exc.value.mode == 1

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import heatavg as ha
 import heatavg.oracle
@@ -123,6 +124,76 @@ def test_breakpoints_merged_into_time_grid():
     times = cfg.time_grid(0.1)
     assert np.min(np.abs(times - 0.033)) == 0.0
     assert times[0] == 0.0 and times[-1] == 0.1
+
+
+def _reference_step_evolution(op, xi, src, horizon, cfg):
+    """Reference: a banded solve at every step, with `step_evolution`'s former
+    arithmetic verbatim and its input and finiteness checks left out."""
+    grid = xi.grid
+    a_mid, a0_nodes, _ = op.sample(grid)
+    h = grid.h
+    # Interior difference operator: lower/diag/upper of (a u')' + a0 u.
+    lower = a_mid[1:-1] / h**2
+    diag = -(a_mid[:-1] + a_mid[1:]) / h**2 + a0_nodes[1:-1]
+    upper = a_mid[1:-1] / h**2
+
+    times = cfg.time_grid(horizon)
+    n_int = grid.n_nodes - 2
+    values = np.zeros((times.size, grid.n_nodes))
+    values[0] = xi.values
+    values[0, 0] = 0.0
+    values[0, -1] = 0.0
+
+    u = values[0, 1:-1].copy()
+    phi_now = src.values_at(0.0)[1:-1] if src is not None else None
+    for n in range(times.size - 1):
+        dt = times[n + 1] - times[n]
+        ab = np.zeros((3, n_int))
+        ab[0, 1:] = -0.5 * dt * upper
+        ab[1, :] = 1.0 - 0.5 * dt * diag
+        ab[2, :-1] = -0.5 * dt * lower
+        rhs = u + 0.5 * dt * (diag * u)
+        rhs[:-1] += 0.5 * dt * upper * u[1:]
+        rhs[1:] += 0.5 * dt * lower * u[:-1]
+        if src is not None:
+            phi_next = src.values_at(float(times[n + 1]))[1:-1]
+            rhs += 0.5 * dt * (phi_now + phi_next)
+            phi_now = phi_next
+        u = solve_banded((1, 1), ab, rhs)
+        values[n + 1, 1:-1] = u
+    return times, values
+
+
+@pytest.mark.parametrize("n_nodes", [3, 4, 5, 65])
+def test_factored_stepper_matches_per_step_solve_bit_for_bit(n_nodes):
+    length, horizon = 1.5, 0.2
+    grid = ha.Grid.uniform(length, n_nodes)
+    op = ha.OperatorSpec.from_callables(length, lambda x: 1.0 + 0.5 * np.sin(3.0 * x),
+                                        lambda x: 2.0 - x)
+    rng = np.random.default_rng(7)
+    xi = rng.standard_normal(n_nodes)  # nonzero ends: the stepper must clear them
+    # the source stops short of the horizon, so the last steps use its final row
+    knots = np.array([0.0, 0.013, 0.07, 0.11, 0.17])
+    src = ha.SourceTerm.from_grid_history(grid, knots, rng.standard_normal((5, n_nodes)))
+    cfg = ha.StepperConfig(n_nodes=n_nodes, n_steps=64, breakpoints=(0.0301, 0.0917, 0.155))
+    assert np.unique(np.diff(cfg.time_grid(horizon))).size > 3
+    for source in (None, src):
+        field = ha.step_evolution(op, ha.GridFunction(grid, xi), source, horizon, cfg)
+        times, values = _reference_step_evolution(op, ha.GridFunction(grid, xi), source,
+                                                  horizon, cfg)
+        assert np.array_equal(field.times, times)
+        assert np.array_equal(field.values, values)
+        assert np.array_equal(np.signbit(field.values), np.signbit(values))
+
+
+def test_non_finite_state_raises_naming_the_step():
+    grid = ha.Grid.uniform(1.0, 65)
+    op = ha.OperatorSpec.constant(1.0)
+    xi = ha.GridFunction(grid, 1e308 * np.sin(np.pi * grid.nodes))
+    cfg = ha.StepperConfig(n_nodes=65, n_steps=16)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ha.SingularStep, match="non-finite state at step 0$"):
+            ha.step_evolution(op, xi, None, 0.1, cfg)
 
 
 def test_oracle_module_never_touches_eigen_data():
