@@ -31,6 +31,7 @@ from .basis import (
 )
 from .fileio import (
     RunConfig,
+    _write_csv,
     load_config,
     read_grid_csv,
     write_field_csv,
@@ -115,9 +116,9 @@ def main(argv=None) -> int:
             for clause in report.violations:
                 print(f"weight condition violated: {clause}", file=sys.stderr)
             if args.command == "invert" and args.allow_ill_posed:
-                return _cmd_invert(cfg, args)
+                return _cmd_invert_ill_posed(cfg, args)
             return EXIT_ILL_POSED
-        return _dispatch(cfg, args)
+        return _COMMANDS[args.command](cfg, args)
     except IllPosedWeight as exc:
         print(f"weight condition violated: {exc}", file=sys.stderr)
         return EXIT_ILL_POSED
@@ -133,20 +134,6 @@ def entry() -> None:
     raise SystemExit(main())
 
 
-def _dispatch(cfg: RunConfig, args) -> int:
-    if args.command == "spectrum":
-        return _cmd_spectrum(cfg, args)
-    if args.command == "forward":
-        return _cmd_forward(cfg, args)
-    if args.command == "invert":
-        return _cmd_invert(cfg, args)
-    if args.command == "figure1":
-        return _cmd_figure1(cfg, args)
-    if args.command == "oracle":
-        return _cmd_oracle(cfg, args)
-    raise ValueError(f"unknown command {args.command}")
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -157,13 +144,8 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
     es = build_eigensystem(cfg.operator, cfg.grid(), cfg.n_modes)
     sc, bad = _constants_unchecked(cfg.weight, es)
     mult = np.asarray(cfg.weight.multiplier(es.lambdas))
-    lines = ["k,lambda,multiplier,lambda_multiplier,c1,c2"]
-    for i in range(es.n_modes):
-        lines.append(
-            f"{i + 1},{es.lambdas[i]:.17g},{mult[i]:.17g},"
-            f"{es.lambdas[i] * mult[i]:.17g},{sc.c1:.17g},{sc.c2:.17g}"
-        )
-    (_out_dir(args) / "spectrum.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(_out_dir(args) / "spectrum.csv", "k,lambda,multiplier,lambda_multiplier,c1,c2",
+               range(1, es.n_modes + 1), [[es.lambdas, mult, es.lambdas * mult, sc.c1, sc.c2]])
     if bad:
         print(f"multiplier bound violated at modes {bad[:8]}", file=sys.stderr)
         return EXIT_BOUND
@@ -196,24 +178,27 @@ def _report_lines(rep) -> list[str]:
     ]
 
 
+def _cmd_invert_ill_posed(cfg: RunConfig, args) -> int:
+    """``invert --allow-ill-posed`` with an inadmissible weight: write the
+    blow-up diagnostics and keep the ill-posed exit code."""
+    grid = cfg.grid()
+    es = build_eigensystem(cfg.operator, grid, cfg.n_modes)
+    mu = read_grid_csv(args.mu_csv, grid)
+    out = _out_dir(args)
+    rep, amp = _invert(mu, None, cfg.weight, es, allow_ill_posed=True, stacklevel=2)
+    _write_csv(out / "amplification.csv", "k,lambda,amplification",
+               range(1, es.n_modes + 1), [[es.lambdas, amp]])
+    (out / "invert_report.txt").write_text("\n".join(_report_lines(rep)) + "\n")
+    print("amplification.csv and invert_report.txt written despite the "
+          "inadmissible weight", file=sys.stderr)
+    return EXIT_ILL_POSED
+
+
 def _cmd_invert(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     es = build_eigensystem(cfg.operator, grid, cfg.n_modes)
     mu = read_grid_csv(args.mu_csv, grid)
     out = _out_dir(args)
-
-    if not cfg.weight.validate().ok:
-        # override path: write the blow-up diagnostics, keep the ill-posed exit code
-        rep, amp = _invert(mu, None, cfg.weight, es, allow_ill_posed=True, stacklevel=2)
-        lines = ["k,lambda,amplification"]
-        for i in range(es.n_modes):
-            lines.append(f"{i + 1},{es.lambdas[i]:.17g},{amp[i]:.17g}")
-        (out / "amplification.csv").write_text("\n".join(lines) + "\n")
-        (out / "invert_report.txt").write_text("\n".join(_report_lines(rep)) + "\n")
-        print("amplification.csv and invert_report.txt written despite the "
-              "inadmissible weight", file=sys.stderr)
-        return EXIT_ILL_POSED
-
     src = cfg.source_from_csv(args.phi, grid, es=es) if args.phi else None
     times = np.linspace(0.0, cfg.horizon, cfg.n_times)
     field, rep = solve_inverse(mu, src, cfg.weight, es, times=times)
@@ -298,3 +283,12 @@ def _cmd_figure1(cfg: RunConfig, args) -> int:
     for line in lines:
         print(line)
     return EXIT_OK
+
+
+_COMMANDS = {
+    "spectrum": _cmd_spectrum,
+    "forward": _cmd_forward,
+    "invert": _cmd_invert,
+    "figure1": _cmd_figure1,
+    "oracle": _cmd_oracle,
+}

@@ -3,13 +3,23 @@
 Configs are ini-style key = value files with sections [operator], [weight],
 [run], and [figure1]; '#' starts a comment.  Grid functions travel as
 two-column CSVs with header ``x,value``; space-time fields as three-column
-CSVs with header ``x,t,u`` (sources use ``x,t,phi``).  All floats are
-printed with 17 significant digits so files round-trip exactly.
+CSVs with header ``x,t,u`` (sources use ``x,t,phi``), one block of rows
+per time.  All floats are printed with 17 significant digits so files
+round-trip exactly; one row writer serves every CSV the CLI emits.
+
+Reading checks the header line, drops blank and whitespace-only lines and
+parses the rest with ``np.loadtxt`` (comma-delimited, no comment
+character): every row must hold the same number of fields, each a float
+such as ``-1.5e-3``, ``inf`` or ``nan``.  Python's ``_`` digit separators
+(``1_000``) are rejected.  A space-time CSV must repeat the grid's
+abscissae in every block and carry one time per block.
 """
 
 from __future__ import annotations
 
 import configparser
+import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,59 +27,75 @@ import numpy as np
 
 from .basis import Grid, GridFunction, GridMismatch, OperatorSpec
 from .forward import SolutionField, SourceTerm
-from .weights import WeightSpec, load_weight_table
+from .weights import WeightSpec
 
 
 # -- CSV ---------------------------------------------------------------------
 
 def write_grid_csv(path, gf: GridFunction) -> None:
-    lines = ["x,value"]
-    for x, v in zip(gf.grid.nodes, gf.values):
-        lines.append(f"{x:.17g},{v:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "x,value", gf.grid.nodes, [[gf.values]])
 
 
 def read_grid_csv(path, grid: Grid) -> GridFunction:
-    raw = Path(path).read_text().splitlines()
-    if not raw or raw[0].strip() != "x,value":
-        raise ValueError(f"{path}: expected header 'x,value'")
-    data = np.array([[float(f) for f in line.split(",")] for line in raw[1:] if line.strip()])
+    data = _read_csv(path, lambda header: header == "x,value", "x,value")
     if data.shape != (grid.n_nodes, 2):
         raise GridMismatch(f"{path}: {data.shape[0]} rows but the grid has {grid.n_nodes} nodes")
-    if np.max(np.abs(data[:, 0] - grid.nodes)) > 1e-9 * max(grid.length, 1.0):
+    if not np.all(np.abs(data[:, 0] - grid.nodes) <= 1e-9 * max(grid.length, 1.0)):
         raise GridMismatch(f"{path}: abscissae do not match the configured grid")
     return GridFunction(grid, data[:, 1])
 
 
 def write_field_csv(path, field: SolutionField, column: str = "u") -> None:
-    lines = [f"x,t,{column}"]
-    for j, t in enumerate(field.times):
-        row = field.values[j]
-        for x, v in zip(field.grid.nodes, row):
-            lines.append(f"{x:.17g},{t:.17g},{v:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, f"x,t,{column}", field.grid.nodes,
+               ([t, row] for t, row in zip(field.times, field.values)))
 
 
 def read_space_time_csv(path, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Parse an ``x,t,<name>`` CSV into (times, values[n_times, n_nodes])."""
-    raw = Path(path).read_text().splitlines()
-    if not raw or not raw[0].strip().startswith("x,t,"):
-        raise ValueError(f"{path}: expected header 'x,t,<name>'")
-    data = np.array([[float(f) for f in line.split(",")] for line in raw[1:] if line.strip()])
-    if data.ndim != 2 or data.shape[1] != 3:
+    data = _read_csv(path, lambda header: header.startswith("x,t,"), "x,t,<name>")
+    if data.shape[1] != 3:
         raise ValueError(f"{path}: expected three columns")
-    n = grid.n_nodes
-    if data.shape[0] % n != 0:
+    if data.shape[0] % grid.n_nodes != 0:
         raise GridMismatch(f"{path}: row count is not a multiple of the grid size")
-    n_times = data.shape[0] // n
-    times = data[::n, 1]
+    blocks = data.reshape(-1, grid.n_nodes, 3)
+    times = blocks[:, 0, 1]
+    if np.any(blocks[:, :, 1] != times[:, None]):
+        raise ValueError(f"{path}: every row of a time block must carry the same t")
     if not np.all(np.diff(times) > 0):
         raise ValueError(f"{path}: time blocks must be strictly increasing")
-    xs = data[:n, 0]
-    if np.max(np.abs(xs - grid.nodes)) > 1e-9 * max(grid.length, 1.0):
+    if not np.all(np.abs(blocks[:, :, 0] - grid.nodes) <= 1e-9 * max(grid.length, 1.0)):
         raise GridMismatch(f"{path}: abscissae do not match the configured grid")
-    values = data[:, 2].reshape(n_times, n)
-    return times, values
+    return times, blocks[:, :, 2]
+
+
+def _read_csv(path, header_ok, expected: str) -> np.ndarray:
+    """The rows under a header line that ``header_ok`` accepts, blank lines
+    dropped; a file with no rows gives a (0, 0) array for the shape checks."""
+    with open(path) as f:
+        if not header_ok(f.readline().strip()):
+            raise ValueError(f"{path}: expected header '{expected}'")
+        rows = (line for line in f if line.strip())
+        first = next(rows, None)
+        if first is None:
+            return np.empty((0, 0))
+        try:
+            return np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None,
+                              ndmin=2)
+        except ValueError as exc:  # loadtxt's text names the data row, not the file
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _write_csv(path, header: str, keys, blocks) -> None:
+    """Write ``header``, then per block of columns one line per key: the key
+    and its entry in each column, at 17 significant digits.  Keys are
+    formatted once per file and a scalar column (a field's t) once per block."""
+    keys = [f"{k:.17g}" for k in np.asarray(keys).tolist()]
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for columns in blocks:
+            cells = [[f"{col:.17g}"] * len(keys) if np.ndim(col) == 0
+                     else [f"{v:.17g}" for v in col.tolist()] for col in columns]
+            f.write("\n".join(map(",".join, zip(keys, *cells))) + "\n")
 
 
 # -- config ------------------------------------------------------------------
@@ -126,8 +152,8 @@ def load_config(path) -> RunConfig:
         raise ValueError(f"{path}: [run] section with T is required")
     run = parser["run"]
     horizon = run.getfloat("T")
-    if horizon <= 0.0:
-        raise ValueError(f"{path}: T must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"{path}: T must be positive and finite")
 
     weight = _load_weight(parser, path, horizon)
 
@@ -160,27 +186,21 @@ def _load_weight(parser: configparser.ConfigParser, path: Path, horizon: float) 
     case = sec.get("case", "table" if "table" in sec else "average").strip().lower()
     t1 = sec.getfloat("T1") if "T1" in sec else None
     if case == "average":
-        ws = WeightSpec.from_pieces(kappa, ((0.0, horizon, 1.0),), horizon,
-                                    t1=t1 if t1 is not None else horizon)
-    elif case == "quasi":
+        return WeightSpec.average(horizon, kappa=kappa, t1=t1)
+    if case == "quasi":
         eps = sec.getfloat("epsilon", None)
         if eps is None:
             raise ValueError(f"{path}: the quasi weight case needs 'epsilon'")
         if not 0.0 < eps <= horizon:
             raise ValueError(f"{path}: epsilon must lie in (0, T]")
-        ws = WeightSpec.from_pieces(kappa if "kappa" in sec else 1.0,
-                                    ((0.0, eps, 1.0),), horizon,
-                                    t1=t1 if t1 is not None else eps)
-    elif case == "zero":
-        ws = WeightSpec(kappa=kappa, pieces=(), horizon=horizon, t1=t1)
-    elif case == "table":
+        return WeightSpec.quasi_boundary(horizon, eps, kappa=sec.getfloat("kappa", 1.0), t1=t1)
+    if case == "zero":
+        return WeightSpec(kappa=kappa, pieces=(), horizon=horizon, t1=t1)
+    if case == "table":
         if "table" not in sec:
             raise ValueError(f"{path}: the table weight case needs 'table'")
-        pieces = load_weight_table(_resolve(path, sec["table"]))
-        ws = WeightSpec.from_pieces(kappa, pieces, horizon, t1=t1)
-    else:
-        raise ValueError(f"{path}: unknown weight case '{case}'")
-    return ws
+        return WeightSpec.from_table(_resolve(path, sec["table"]), horizon, kappa, t1)
+    raise ValueError(f"{path}: unknown weight case '{case}'")
 
 
 def _resolve(config_path: Path, ref: str) -> Path:

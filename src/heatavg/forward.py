@@ -106,6 +106,8 @@ class SourceTerm:
             raise ValueError("source tabulation must start at t = 0")
         if values.shape != (times.size, self.grid.n_nodes):
             raise ValueError("source values must be (n_times, n_nodes)")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("source values must be finite")
         if not 0.0 <= self.onset <= self.horizon:
             raise ValueError("onset must lie in [0, horizon]")
         if self.coeffs is not None:

@@ -88,8 +88,10 @@ class WeightSpec:
     t1: float | None = None
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
+        if not math.isfinite(self.kappa):
+            raise ValueError("kappa must be finite")
         tol = 1e-12 * self.horizon
         pieces = tuple(sorted((float(s), float(e), float(v)) for s, e, v in self.pieces))
         prev_end = 0.0 - tol
@@ -106,18 +108,19 @@ class WeightSpec:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def average(cls, horizon: float) -> "WeightSpec":
-        """Plain running average: kappa = 0, w = 1 on the whole horizon."""
-        return cls(kappa=0.0, pieces=((0.0, float(horizon), 1.0),),
-                   horizon=float(horizon), t1=float(horizon))
+    def average(cls, horizon: float, kappa: float = 0.0, t1: float | None = None) -> "WeightSpec":
+        """Running average (w = 1 on the whole horizon) plus kappa times u(T)."""
+        return cls(kappa=float(kappa), pieces=((0.0, float(horizon), 1.0),),
+                   horizon=float(horizon), t1=float(horizon if t1 is None else t1))
 
     @classmethod
-    def quasi_boundary(cls, horizon: float, eps: float, kappa: float = 1.0) -> "WeightSpec":
+    def quasi_boundary(cls, horizon: float, eps: float, kappa: float = 1.0,
+                       t1: float | None = None) -> "WeightSpec":
         """Terminal value softened by a short initial average of width eps."""
         if not 0.0 < eps <= horizon:
             raise ValueError("eps must lie in (0, horizon]")
         return cls(kappa=float(kappa), pieces=((0.0, float(eps), 1.0),),
-                   horizon=float(horizon), t1=float(eps))
+                   horizon=float(horizon), t1=float(eps if t1 is None else t1))
 
     @classmethod
     def terminal(cls, horizon: float, kappa: float = 1.0) -> "WeightSpec":

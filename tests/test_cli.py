@@ -290,10 +290,68 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_grid_csv_round_trip(tmp_path):
+@pytest.mark.parametrize("kind", ["grid", "field"])
+def test_grid_csv_round_trip(tmp_path, kind):
     grid = ha.Grid.uniform(L, 65)
     rng = np.random.default_rng(71)
-    gf = ha.GridFunction(grid, np.concatenate([[0.0], rng.standard_normal(63), [0.0]]))
-    write_grid_csv(tmp_path / "f.csv", gf)
-    back = read_grid_csv(tmp_path / "f.csv", grid)
-    assert np.array_equal(back.values, gf.values)
+    if kind == "grid":
+        gf = ha.GridFunction(grid, np.concatenate([[0.0], rng.standard_normal(63), [0.0]]))
+        write_grid_csv(tmp_path / "f.csv", gf)
+        back = read_grid_csv(tmp_path / "f.csv", grid)
+        assert np.array_equal(back.values, gf.values)
+    else:
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, T, 5)), [T]])
+        scales = 10.0 ** rng.integers(-300, 300, times.size)
+        values = rng.standard_normal((times.size, grid.n_nodes)) * scales[:, None]
+        values[0, :3] = [-0.0, 5e-324, -1e308]
+        write_field_csv(tmp_path / "f.csv", ha.SolutionField(grid=grid, times=times, values=values))
+        back_times, back_values = read_space_time_csv(tmp_path / "f.csv", grid)
+        assert np.array_equal(back_times, times)
+        assert np.array_equal(back_values, values)
+        assert np.array_equal(np.signbit(back_values), np.signbit(values))
+
+
+@pytest.mark.parametrize("command", ["forward", "invert", "oracle"])
+def test_non_finite_source_is_input_error(small_setup, tmp_path, command):
+    cfg, grid, *_ = small_setup
+    write_grid_csv(tmp_path / "f.csv", ha.GridFunction(grid, np.sin(grid.nodes / 2.0)))
+    times = np.linspace(0.0, T, 3)
+    values = np.outer(1.0 + times, np.sin(grid.nodes / 2.0))
+    values[1, 5] = np.nan
+    write_field_csv(tmp_path / "phi.csv",
+                    ha.SolutionField(grid=grid, times=times, values=values), column="phi")
+    proc = run_cli(command, cfg, tmp_path / "f.csv", "--phi", tmp_path / "phi.csv",
+                   "--out-dir", tmp_path / "out", cwd=tmp_path)
+    assert proc.returncode == 3
+    assert "source values must be finite" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("old, new, cause", [
+    (f"T = {T!r}", "T = nan", "T must be positive and finite"),
+    (f"T = {T!r}", "T = inf", "T must be positive and finite"),
+    ("case = average", "case = average\nkappa = nan", "kappa must be finite"),
+], ids=["T_nan", "T_inf", "kappa_nan"])
+def test_non_finite_config_is_input_error(tmp_path, old, new, cause):
+    cfg = write_config(tmp_path / "run.cfg")
+    cfg.write_text(cfg.read_text().replace(old, new))
+    proc = run_cli("spectrum", cfg, "--out-dir", tmp_path / "out", cwd=tmp_path)
+    assert proc.returncode == 3
+    assert cause in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:1], "0 rows but the grid has 257 nodes"),
+    (lambda lines: lines[:5] + [lines[5] + ",1.0"] + lines[6:], ""),
+    (lambda lines: lines[:5] + ["# a comment"] + lines[5:], ""),
+    (lambda lines: lines[:5] + ["#1.0,2.0"] + lines[6:], ""),
+], ids=["header_only", "ragged", "comment_line", "comment_field"])
+def test_malformed_grid_csv_is_input_error(small_setup, tmp_path, edit, message):
+    cfg, grid, *_ = small_setup
+    write_grid_csv(tmp_path / "xi.csv", ha.GridFunction(grid, np.sin(grid.nodes / 2.0)))
+    lines = (tmp_path / "xi.csv").read_text().splitlines()
+    (tmp_path / "bad.csv").write_text("\n".join(edit(lines)) + "\n")
+    proc = run_cli("oracle", cfg, tmp_path / "bad.csv", "--out-dir", tmp_path / "out",
+                   cwd=tmp_path)
+    assert proc.returncode == 3
+    assert f"input error: {tmp_path / 'bad.csv'}: {message}" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr

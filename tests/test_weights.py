@@ -26,6 +26,20 @@ def test_quasi_boundary_case_is_admissible():
     assert ws.validate().ok
 
 
+def test_constructors_take_kappa_and_t1():
+    assert (ha.WeightSpec.average(T, kappa=0.5, t1=0.05)
+            == ha.WeightSpec.from_pieces(0.5, ((0.0, T, 1.0),), T, t1=0.05))
+    assert (ha.WeightSpec.quasi_boundary(T, 0.01, kappa=0.5, t1=0.005)
+            == ha.WeightSpec.from_pieces(0.5, ((0.0, 0.01, 1.0),), T, t1=0.005))
+
+
+@pytest.mark.parametrize("kappa, horizon", [
+    (math.nan, T), (math.inf, T), (0.0, math.inf), (0.0, math.nan)])
+def test_non_finite_kappa_or_horizon_rejected(kappa, horizon):
+    with pytest.raises(ValueError, match="finite"):
+        ha.WeightSpec(kappa=kappa, pieces=(), horizon=horizon)
+
+
 def test_negative_inputs_named_in_report():
     ws = ha.WeightSpec(kappa=-1.0, pieces=((0.0, T, -2.0),), horizon=T, t1=T)
     report = ws.validate()
