@@ -20,15 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import (
-    GridFunction,
-    GridMismatch,
-    NonElliptic,
-    TruncationTooLarge,
-    build_eigensystem,
-    project,
-    synthesize,
-)
+from .basis import GridFunction, build_eigensystem, project, synthesize
 from .fileio import (
     RunConfig,
     _write_csv,
@@ -37,9 +29,9 @@ from .fileio import (
     write_field_csv,
     write_grid_csv,
 )
-from .forward import OnsetInvalid, TimeOutOfRange, solve_forward
-from .inverse import BoundaryViolation, IllPosedWeight, _invert, recover_initial, solve_inverse
-from .oracle import BreakpointUnresolved, SingularStep, StepperConfig, step_evolution, time_average
+from .forward import solve_forward
+from .inverse import IllPosedWeight, _invert, recover_initial, solve_inverse
+from .oracle import SingularStep, StepperConfig, step_evolution, time_average
 from .profiles import cusp_bump, oscillatory_bump
 from .weights import BoundViolated, _constants_unchecked
 
@@ -48,19 +40,7 @@ EXIT_BOUND = 2
 EXIT_INPUT = 3
 EXIT_ILL_POSED = 4
 
-_INPUT_ERRORS = (
-    OSError,
-    configparser.Error,
-    ValueError,
-    GridMismatch,
-    TruncationTooLarge,
-    NonElliptic,
-    BoundaryViolation,
-    TimeOutOfRange,
-    OnsetInvalid,
-    SingularStep,
-    BreakpointUnresolved,
-)
+_INPUT_ERRORS = (OSError, configparser.Error, ValueError, SingularStep)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -34,7 +34,7 @@ from .basis import (
     same_grid,
     _frozen,
 )
-from .weights import MultiplierOverflow, WeightSpec
+from .weights import WeightSpec, _check_finite
 
 
 class TimeOutOfRange(ValueError):
@@ -153,14 +153,7 @@ class SourceTerm:
 
     def values_at(self, t: float) -> np.ndarray:
         """Grid samples of the source at time t (linear interpolation)."""
-        t = float(t)
-        if t <= self.times[0]:
-            return self.values[0]
-        if t >= self.times[-1]:
-            return self.values[-1]
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        s = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
-        return (1.0 - s) * self.values[i] + s * self.values[i + 1]
+        return next(_rows_at(self.times, self.values, np.array([t], dtype=float)))
 
     def regularity_norm(self) -> float:
         """Size of the source in the norm combining its space-time L2 norm,
@@ -183,6 +176,20 @@ class SourceTerm:
                 deriv_part += overlap * math.sqrt(max(ip(g, g), 0.0))
         onset_slice = self.values_at(self.onset)
         return math.sqrt(max(sq, 0.0)) + math.sqrt(max(ip(onset_slice, onset_slice), 0.0)) + deriv_part
+
+
+def _rows_at(knots: np.ndarray, rows: np.ndarray, times: np.ndarray):
+    """Yield ``rows`` (one per knot) linearly interpolated at each of ``times``,
+    held at the end rows outside the knots; one search finds every piece."""
+    piece = np.clip(np.searchsorted(knots, times, side="right") - 1, 0, knots.size - 2)
+    frac = (times - knots[piece]) / np.diff(knots)[piece]
+    for t, i, s in zip(times.tolist(), piece.tolist(), frac.tolist()):
+        if t <= knots[0]:
+            yield rows[0]
+        elif t >= knots[-1]:
+            yield rows[-1]
+        else:
+            yield (1.0 - s) * rows[i] + s * rows[i + 1]
 
 
 @dataclass(frozen=True)
@@ -224,9 +231,7 @@ class SolutionField:
         t = float(t)
         if not self.times[0] <= t <= self.times[-1]:
             raise TimeOutOfRange(f"t = {t:g} outside [{self.times[0]:g}, {self.times[-1]:g}]")
-        i = min(int(np.searchsorted(self.times, t, side="right") - 1), self.times.size - 2)
-        s = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
-        return GridFunction(self.grid, (1.0 - s) * self.values[i] + s * self.values[i + 1])
+        return GridFunction(self.grid, next(_rows_at(self.times, self.values, np.array([t]))))
 
     def evaluate(self, x, t: float):
         """Point values at arbitrary (x, t) via the slice plus linear x-interpolation."""
@@ -246,12 +251,7 @@ class SolutionField:
 def evolve_homogeneous(xi: SpectralVector, t: float, horizon: float = math.inf) -> SpectralVector:
     """Decay the coefficients over time t with no source; raises
     `MultiplierOverflow` for the first mode whose coefficient is not finite."""
-    if t < 0.0 or t > horizon:
-        raise TimeOutOfRange(f"t = {t:g} outside [0, {horizon:g}]")
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = xi.coeffs * np.exp(-xi.es.lambdas * t)
-    _check_finite_modes(coeffs, xi.es)
-    return SpectralVector(xi.es, coeffs)
+    return SpectralVector(xi.es, _coeffs_at(xi, None, xi.es, t, horizon)[0])
 
 
 def duhamel(src: SourceTerm, k: int, t: float, es: EigenSystem | None = None) -> float:
@@ -290,7 +290,7 @@ def _knot_states(src: SourceTerm, es: EigenSystem, breaks=()):
         gain = h * phi[1] * a + h**2 * phi[2] * b
         for i in range(h.size):
             states[i + 1] = phi[0][i] * states[i] + gain[i]
-    _check_finite_modes(states, es)
+    _check_finite(states, es.lambdas)
     return knots, a, b, states, h, phi
 
 
@@ -327,16 +327,8 @@ def _coeffs_at(alpha: SpectralVector, src: SourceTerm | None, es: EigenSystem,
         coeffs = alpha.coeffs * np.exp(-np.multiply.outer(times, es.lambdas))
         if src is not None:
             coeffs = coeffs + _duhamel_at(src, es, times)
-    _check_finite_modes(coeffs, es)
+    _check_finite(coeffs, es.lambdas)
     return coeffs
-
-
-def _check_finite_modes(coeffs: np.ndarray, es: EigenSystem) -> None:
-    """Raise `MultiplierOverflow` for the first mode (last axis) with a
-    non-finite entry: exp(-lambda t) overflowed for an eigenvalue far below 0."""
-    bad = np.flatnonzero(~np.isfinite(coeffs.reshape(-1, es.n_modes)).all(axis=0))
-    if bad.size:
-        raise MultiplierOverflow(int(bad[0]) + 1, float(es.lambdas[bad[0]]))
 
 
 def solve_forward(xi: SpectralVector, src: SourceTerm | None = None,
@@ -383,12 +375,12 @@ def average_from_source(src: SourceTerm, ws: WeightSpec,
 
 
 def weighted_average(field: SolutionField, ws: WeightSpec) -> SpectralVector:
-    """Apply the averaged measurement to a spectral field, exactly: the
-    multipliers for the homogeneous part, `average_from_source`'s kernel for
-    the source part."""
+    """Apply the averaged measurement to a spectral field, exactly: the sum
+    of `average_from_initial` and `average_from_source`, which raises
+    `OnsetInvalid` for a source whose onset is not before the horizon."""
     if field.es is None or field.alpha is None:
         raise ValueError("weighted_average needs a spectrally built field")
-    out = field.alpha.coeffs * ws.multiplier(field.es.lambdas)
+    out = average_from_initial(field.alpha, ws).coeffs
     if field.source is not None:
-        out = out + _source_average(field.source, field.es, ws)
+        out = out + average_from_source(field.source, ws, field.es).coeffs
     return SpectralVector(field.es, out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import GridFunction, OperatorSpec, same_grid
-from .forward import SolutionField, SourceTerm
+from .forward import SolutionField, SourceTerm, _rows_at
 
 
 class SingularStep(RuntimeError):
@@ -60,7 +60,9 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
 
     The step matrix I - (dt/2) A is LU-factored once per distinct step size
     (LAPACK ``dgttrf``); each step then forms its right-hand side and does
-    one tridiagonal back-solve (``dgttrs``).
+    one tridiagonal back-solve (``dgttrs``).  The source row at each step
+    time comes from the rule `SourceTerm.values_at` uses, one row at a
+    time: linear between knots, held at the last row beyond the last knot.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs
 
@@ -84,21 +86,8 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     values[0, 1:-1] = xi.values[1:-1]
 
     if src is not None:
-        # knot piece and interpolation fraction of every step time, as
-        # SourceTerm.values_at finds them; the rows are combined per step
-        knots, rows = src.times, src.values[:, 1:-1]
-        piece = np.clip(np.searchsorted(knots, times, side="right") - 1, 0, knots.size - 2)
-        frac = (times - knots[piece]) / np.diff(knots)[piece]
-
-        def source_at(j):
-            if times[j] <= knots[0]:
-                return rows[0]
-            if times[j] >= knots[-1]:
-                return rows[-1]
-            i, s = piece[j], frac[j]
-            return (1.0 - s) * rows[i] + s * rows[i + 1]
-
-        phi_now = source_at(0)
+        source_rows = _rows_at(src.times, src.values[:, 1:-1], times)
+        phi_now = next(source_rows)
 
     # The Dirichlet rows join the system as unit rows with zero right-hand
     # side: the boundary stays exactly zero, and the system has the three or
@@ -126,7 +115,7 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
         rhs[:-1] += half_upper * u[1:]
         rhs[1:] += half_lower * u[:-1]
         if src is not None:
-            phi_next = source_at(n + 1)
+            phi_next = next(source_rows)
             rhs += 0.5 * dt * (phi_now + phi_next)
             phi_now = phi_next
         rhs_full[1:-1] = rhs

@@ -63,6 +63,14 @@ class StabilityConstants:
     m: int  # 1-based index of the first mode with positive eigenvalue
 
 
+def _check_finite(values: np.ndarray, lam: np.ndarray) -> None:
+    """Raise `MultiplierOverflow` for the first entry of ``lam`` whose column of
+    ``values`` (its trailing axes) is not all finite: exp(-lambda t) overflowed."""
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=tuple(range(values.ndim - lam.ndim))))
+    if bad.size:
+        raise MultiplierOverflow(int(bad[0]) + 1, float(lam.flat[bad[0]]))
+
+
 def _decay_integral(lam, width):
     """integral_0^width exp(-lam*s) ds, stable near lam = 0."""
     lam = np.asarray(lam, dtype=float)
@@ -92,10 +100,14 @@ class WeightSpec:
             raise ValueError("horizon must be positive and finite")
         if not math.isfinite(self.kappa):
             raise ValueError("kappa must be finite")
+        if self.t1 is not None and not math.isfinite(self.t1):
+            raise ValueError("T1 must be finite")
         tol = 1e-12 * self.horizon
         pieces = tuple(sorted((float(s), float(e), float(v)) for s, e, v in self.pieces))
         prev_end = 0.0 - tol
         for s, e, v in pieces:
+            if not all(map(math.isfinite, (s, e, v))):
+                raise ValueError(f"weight piece ({s:g}, {e:g}, {v:g}) is not finite")
             if e <= s:
                 raise ValueError(f"weight piece [{s:g}, {e:g}] has no width")
             if s < -tol or e > self.horizon + tol:
@@ -142,33 +154,38 @@ class WeightSpec:
 
     # -- piecewise evaluation -----------------------------------------------
 
+    def _contiguous(self):
+        """(end, value, extends) of each piece in order while the pieces cover
+        [0, end] without a gap; ``extends`` is false for a piece that ends
+        within the tolerance of the cover so far, which then does not grow."""
+        tol = 1e-12 * self.horizon
+        covered = 0.0
+        for s, e, v in self.pieces:
+            extends = e > covered + tol
+            if extends and s > covered + tol:
+                return
+            yield e, v, extends
+            if extends:
+                covered = e
+
     def _inferred_t1(self) -> float | None:
         """Largest prefix [0, t] covered by contiguous positive pieces."""
-        tol = 1e-12 * self.horizon
         t = 0.0
-        for s, e, v in self.pieces:
-            if s > t + tol or v <= 0.0:
+        for e, v, _ in self._contiguous():
+            if v <= 0.0:
                 break
             t = max(t, e)
         return t if t > 0.0 else None
 
     def ess_inf(self, upto: float) -> float:
         """Essential infimum of the weight over [0, upto]; gaps count as 0."""
-        tol = 1e-12 * self.horizon
-        covered = 0.0
         lo = math.inf
-        for s, e, v in self.pieces:
-            if e <= covered + tol:
-                continue
-            if s > covered + tol:
-                return 0.0
-            lo = min(lo, v)
-            covered = e
-            if covered >= upto - tol:
-                break
-        if covered < upto - tol:
-            return 0.0
-        return lo if lo < math.inf else 0.0
+        for e, v, extends in self._contiguous():
+            if extends:
+                lo = min(lo, v)
+                if e >= upto - 1e-12 * self.horizon:
+                    return lo
+        return 0.0
 
     def sup(self) -> float:
         """Essential supremum of the weight over the whole horizon."""
@@ -221,9 +238,7 @@ class WeightSpec:
                 out = out + v * np.exp(-lam * s) * _decay_integral(lam, e - s)
             if self.kappa != 0.0:  # kappa = 0 must not meet an overflowed exp as 0*inf
                 out = out + self.kappa * np.exp(-lam * self.horizon)
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
-            raise MultiplierOverflow(int(bad[0]) + 1, float(lam.flat[bad[0]]))
+        _check_finite(out, lam)
         if out.ndim == 0:
             return float(out)
         return out
@@ -239,7 +254,10 @@ def load_weight_table(path) -> tuple[tuple[float, float, float], ...]:
         fields = line.split()
         if len(fields) != 3:
             raise ValueError(f"{path}:{lineno}: expected 't_start t_end value'")
-        pieces.append(tuple(float(f) for f in fields))
+        piece = tuple(float(f) for f in fields)
+        if not all(map(math.isfinite, piece)):
+            raise ValueError(f"{path}:{lineno}: weight table values must be finite")
+        pieces.append(piece)
     if not pieces:
         raise ValueError(f"{path}: weight table is empty")
     return tuple(pieces)

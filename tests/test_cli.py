@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import heatavg as ha
+from heatavg import cli
 from heatavg.fileio import read_grid_csv, read_space_time_csv, write_field_csv, write_grid_csv
 from heatavg.profiles import cusp_bump
 
@@ -355,3 +356,32 @@ def test_malformed_grid_csv_is_input_error(small_setup, tmp_path, edit, message)
     assert proc.returncode == 3
     assert f"input error: {tmp_path / 'bad.csv'}: {message}" in proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("weight, table, cause", [
+    ("case = average\nT1 = nan", None, "T1 must be finite"),
+    ("case = quasi\nepsilon = 0.01\nT1 = inf", None, "T1 must be finite"),
+    ("case = table\ntable = w.txt", "0.0 0.05 1.0\n0.05 0.1 nan\n",
+     "w.txt:2: weight table values must be finite"),
+    ("case = table\ntable = w.txt", "0.0 0.1 inf\n", "w.txt:1: weight table values must be finite"),
+    ("case = table\ntable = w.txt", "nan 0.05 1.0\n",
+     "w.txt:1: weight table values must be finite"),
+], ids=["T1_nan", "T1_inf", "table_nan", "table_inf", "table_start_nan"])
+def test_non_finite_weight_is_input_error(tmp_path, weight, table, cause):
+    if table is not None:
+        (tmp_path / "w.txt").write_text(table)
+    cfg = write_config(tmp_path / "run.cfg", weight=weight)
+    proc = run_cli("spectrum", cfg, "--out-dir", tmp_path / "out", cwd=tmp_path)
+    assert proc.returncode == 3
+    assert cause in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_every_public_error_has_an_exit_code():
+    # 2 for a broken multiplier band, 4 for an inadmissible weight, 3 for the rest;
+    # anything else would escape `main` as a traceback
+    errors = [obj for obj in map(ha.__dict__.get, ha.__all__)
+              if isinstance(obj, type) and issubclass(obj, BaseException)]
+    assert ha.SingularStep in errors and ha.MultiplierOverflow in errors
+    for exc in errors:
+        assert (exc in (ha.BoundViolated, ha.IllPosedWeight)
+                or issubclass(exc, cli._INPUT_ERRORS)), exc

@@ -132,6 +132,54 @@ def test_field_slices_match_stored_values(pi_es):
     assert field.values[:, 0].max() == 0.0 and field.values[:, -1].max() == 0.0
 
 
+def _reference_values_at(src, t):
+    """Reference: `SourceTerm.values_at`'s former body, verbatim."""
+    t = float(t)
+    if t <= src.times[0]:
+        return src.values[0]
+    if t >= src.times[-1]:
+        return src.values[-1]
+    i = int(np.searchsorted(src.times, t, side="right") - 1)
+    s = (t - src.times[i]) / (src.times[i + 1] - src.times[i])
+    return (1.0 - s) * src.values[i] + s * src.values[i + 1]
+
+
+def _reference_slice_at(field, t):
+    """Reference: `SolutionField.slice_at`'s former interpolation of stored rows."""
+    i = min(int(np.searchsorted(field.times, t, side="right") - 1), field.times.size - 2)
+    s = (t - field.times[i]) / (field.times[i + 1] - field.times[i])
+    return (1.0 - s) * field.values[i] + s * field.values[i + 1]
+
+
+def test_row_interpolation_matches_reference_bit_for_bit():
+    grid = ha.Grid.uniform(1.0, 17)
+    rng = np.random.default_rng(41)
+    knots = np.array([0.0, 0.013, 0.07, 0.11, 0.17])
+    values = rng.standard_normal((knots.size, grid.n_nodes))
+    src = ha.SourceTerm.from_grid_history(grid, knots, values)
+    field = ha.SolutionField(grid=grid, times=knots, values=values)
+    inside = np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:]), np.nextafter(knots[1:], 0.0),
+                             np.nextafter(knots[:-1], 1.0), rng.uniform(0.0, 0.17, 40)])
+    for t in inside:
+        for got, want in ((src.values_at(t), _reference_values_at(src, t)),
+                          (field.slice_at(t).values, _reference_slice_at(field, t))):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    for t in (-0.1, 0.2, 5.0):  # the source holds its end rows; the field refuses
+        assert np.array_equal(src.values_at(t), _reference_values_at(src, t))
+        with pytest.raises(ha.TimeOutOfRange):
+            field.slice_at(t)
+
+
+def test_field_slice_at_a_stored_end_time_is_that_row():
+    grid = ha.Grid.uniform(1.0, 5)
+    values = np.array([[0.0, -0.0, 1.0, -2.0, 0.0], [0.0, 3.0, 0.0, 4.0, 0.0]])
+    field = ha.SolutionField(grid=grid, times=np.array([0.0, 0.1]), values=values)
+    for j, t in enumerate(field.times):
+        slc = field.slice_at(t).values
+        assert np.array_equal(slc, values[j])
+        assert np.array_equal(np.signbit(slc), np.signbit(values[j]))
+
+
 def test_field_evaluates_at_arbitrary_points(pi_es):
     field = ha.solve_forward(ha.basis_vector(pi_es, 0), None, horizon=T)
     x, t = 1.2345, 0.0678
@@ -227,6 +275,8 @@ def test_onset_must_precede_horizon_with_terminal_weight(pi_es):
     src = ha.SourceTerm.from_modal(pi_es, times, coeffs, onset=T)
     with pytest.raises(ha.OnsetInvalid):
         ha.average_from_source(src, ws)
+    with pytest.raises(ha.OnsetInvalid):
+        ha.weighted_average(ha.solve_forward(ha.basis_vector(pi_es, 0), src), ws)
     # fine once the onset moves strictly inside the horizon
     src_ok = ha.SourceTerm.from_modal(pi_es, times, coeffs, onset=0.5 * T)
     ha.average_from_source(src_ok, ws)

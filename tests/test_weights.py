@@ -207,3 +207,101 @@ def test_malformed_weight_table_rejected(tmp_path):
 def test_overlapping_pieces_rejected():
     with pytest.raises(ValueError):
         ha.WeightSpec(kappa=0.0, pieces=((0.0, 0.06, 1.0), (0.04, T, 1.0)), horizon=T, t1=T)
+
+
+@pytest.mark.parametrize("pieces, t1", [
+    (((math.nan, 0.05, 1.0),), None),
+    (((0.0, math.inf, 1.0),), None),
+    (((0.0, T, math.nan),), None),
+    (((0.0, T, -math.inf),), None),
+    (((0.0, T, 1.0),), math.nan),
+    (((0.0, T, 1.0),), math.inf),
+], ids=["start_nan", "end_inf", "value_nan", "value_-inf", "t1_nan", "t1_inf"])
+def test_non_finite_piece_or_t1_rejected(pieces, t1):
+    with pytest.raises(ValueError, match="finite"):
+        ha.WeightSpec(kappa=0.0, pieces=pieces, horizon=T, t1=t1)
+
+
+def _reference_inferred_t1(ws):
+    """Reference: `_inferred_t1`'s former loop, which bridged a gap by up to
+    the tolerance past the end of a piece narrower than the tolerance."""
+    tol = 1e-12 * ws.horizon
+    t = 0.0
+    for s, e, v in ws.pieces:
+        if s > t + tol or v <= 0.0:
+            break
+        t = max(t, e)
+    return t if t > 0.0 else None
+
+
+def _reference_ess_inf(ws, upto):
+    """Reference: `ess_inf`'s former loop, verbatim."""
+    tol = 1e-12 * ws.horizon
+    covered = 0.0
+    lo = math.inf
+    for s, e, v in ws.pieces:
+        if e <= covered + tol:
+            continue
+        if s > covered + tol:
+            return 0.0
+        lo = min(lo, v)
+        covered = e
+        if covered >= upto - tol:
+            break
+    if covered < upto - tol:
+        return 0.0
+    return lo if lo < math.inf else 0.0
+
+
+def _piece_sets(rng, count):
+    """Admissible and inadmissible piece sets: gaps and overlaps around the
+    tolerance, zero and negative values, ends within the tolerance of the
+    horizon, and pieces narrower than the tolerance."""
+    for _ in range(count):
+        horizon = float(rng.choice([0.1, 1.0, 7.3]))
+        tol = 1e-12 * horizon
+        start = float(rng.choice([0.0, 0.0, 0.5 * tol, -0.5 * tol, 2.0 * tol, 0.1 * horizon]))
+        pieces = []
+        for _ in range(rng.integers(0, 7)):
+            narrow = rng.random() < 0.3
+            end = start + float(rng.uniform(0.05, 0.95) * tol if narrow
+                                else rng.uniform(0.01, 0.4) * horizon)
+            if rng.random() < 0.2:
+                end = horizon + float(rng.uniform(-1.0, 1.0)) * tol
+            value = float(rng.choice([rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0), 0.0, -1.0]))
+            pieces.append((start, end, value))
+            gap = float(rng.choice([0.0, 0.0, 0.0, 0.5, -0.5, 0.9, -0.9, 1.1, 1.5, 2.0]))
+            wide = float(rng.uniform(0.01, 0.1)) * horizon
+            start = end + (gap * tol if rng.random() < 0.9 else wide)
+        yield tuple(pieces), horizon
+
+
+def test_contiguous_walk_matches_reference_loops():
+    # ess_inf matches its former loop everywhere; _inferred_t1 differs only where
+    # the former loop bridged a gap that ess_inf did not, so the weight failed
+    # its own T1 clause
+    checked = bridged = 0
+    for pieces, horizon in _piece_sets(np.random.default_rng(2024), 10000):
+        try:
+            ws = ha.WeightSpec(0.0, pieces, horizon)
+        except ValueError:
+            continue
+        checked += 1
+        tol = 1e-12 * horizon
+        t1 = _reference_inferred_t1(ws)
+        if ws._inferred_t1() != t1:
+            assert _reference_ess_inf(ws, t1) == 0.0, ws.pieces
+            bridged += 1
+        ends = [e for _, e, _ in ws.pieces] + ([t1] if t1 is not None else [])
+        for upto in [0.0, horizon] + [e + d * tol for e in ends for d in (-1.5, -0.5, 0.0, 0.5)]:
+            assert ws.ess_inf(upto) == _reference_ess_inf(ws, upto), (ws.pieces, upto)
+    assert checked > 5000 and 0 < bridged < checked // 100
+
+
+def test_gap_bridged_only_by_a_sub_tolerance_piece_ends_the_inferred_t1():
+    tol = 1e-12 * T
+    ws = ha.WeightSpec.from_pieces(
+        0.0, ((0.0, 0.05, 1.0), (0.05, 0.05 + 0.5 * tol, 1.0), (0.05 + 1.2 * tol, T, 1.0)), T)
+    assert ws.t1 == 0.05 + 0.5 * tol
+    assert ws.ess_inf(ws.t1) == 1.0 and ws.ess_inf(T) == 0.0
+    assert ws.validate().ok
