@@ -181,6 +181,9 @@ class SourceTerm:
 def _rows_at(knots: np.ndarray, rows: np.ndarray, times: np.ndarray):
     """Yield ``rows`` (one per knot) linearly interpolated at each of ``times``,
     held at the end rows outside the knots; one search finds every piece."""
+    if knots.size == 1:  # every time is at or beyond the only knot
+        yield from (rows[0] for _ in times.tolist())
+        return
     piece = np.clip(np.searchsorted(knots, times, side="right") - 1, 0, knots.size - 2)
     frac = (times - knots[piece]) / np.diff(knots)[piece]
     for t, i, s in zip(times.tolist(), piece.tolist(), frac.tolist()):
@@ -190,6 +193,16 @@ def _rows_at(knots: np.ndarray, rows: np.ndarray, times: np.ndarray):
             yield rows[-1]
         else:
             yield (1.0 - s) * rows[i] + s * rows[i + 1]
+
+
+def _trapezoid_in_time(times: np.ndarray, w_mid=1.0) -> np.ndarray:
+    """Per-time trapezoid weights: each panel's ``0.5 * w_mid * dt`` goes to
+    both of its end times (``w_mid`` is the weight at the panel midpoints)."""
+    half = 0.5 * w_mid * np.diff(times)
+    out = np.zeros(times.size)
+    out[:-1] += half
+    out[1:] += half
+    return out
 
 
 @dataclass(frozen=True)
@@ -241,10 +254,7 @@ class SolutionField:
     def norm_l2(self) -> float:
         """Space-time L2 norm (trapezoid in both directions)."""
         wx = self.grid.trapezoid_weights()
-        dt = np.diff(self.times)
-        wt = np.zeros(self.times.size)
-        wt[:-1] += 0.5 * dt
-        wt[1:] += 0.5 * dt
+        wt = _trapezoid_in_time(self.times)
         return float(np.sqrt(wt @ ((self.values**2) @ wx)))
 
 

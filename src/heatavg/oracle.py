@@ -1,10 +1,12 @@
 """Finite-difference verification path, kept independent of the eigenbasis.
 
 Crank-Nicolson time stepping of the diffusion problem with Dirichlet rows
-enforced exactly, plus weighted trapezoid averaging in time.  This module
-assembles its own difference operator from the OperatorSpec samples and
-never touches eigen data, so agreement with the spectral modules is a
-genuine cross-check rather than a tautology.
+enforced exactly, plus weighted trapezoid averaging in time.  Neither makes
+a temporary the size of the field: each step is formed and solved in its
+own row, and the average is one contraction of the field with per-time
+weights.  This module assembles its own difference operator from the
+OperatorSpec samples and never touches eigen data, so agreement with the
+spectral modules is a genuine cross-check rather than a tautology.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import GridFunction, OperatorSpec, same_grid
-from .forward import SolutionField, SourceTerm, _rows_at
+from .forward import SolutionField, SourceTerm, _rows_at, _trapezoid_in_time
 
 
 class SingularStep(RuntimeError):
@@ -59,8 +61,9 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     """March the diffusion forward from ``xi`` with Crank-Nicolson steps.
 
     The step matrix I - (dt/2) A is LU-factored once per distinct step size
-    (LAPACK ``dgttrf``); each step then forms its right-hand side and does
-    one tridiagonal back-solve (``dgttrs``).  The source row at each step
+    (LAPACK ``dgttrf``); each step then forms its right-hand side in the
+    next row of the field and back-solves it there (``dgttrs``), so every
+    state is written once.  The source row at each step
     time comes from the rule `SourceTerm.values_at` uses, one row at a
     time: linear between knots, held at the last row beyond the last knot.
     """
@@ -93,10 +96,7 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     # side: the boundary stays exactly zero, and the system has the three or
     # more unknowns scipy's dgttrf wrapper needs even on a 3-node grid.
     factors = {}
-    rhs_full = np.zeros(grid.n_nodes)
-    u = values[0, 1:-1]
-    for n in range(times.size - 1):
-        dt = times[n + 1] - times[n]
+    for n, dt in enumerate(np.diff(times).tolist()):
         if dt not in factors:
             dl = np.zeros(grid.n_nodes - 1)
             d = np.ones(grid.n_nodes)
@@ -111,24 +111,31 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
             # so caching that product leaves every step's bits unchanged
             factors[dt] = lu, 0.5 * dt * upper, 0.5 * dt * lower
         lu, half_upper, half_lower = factors[dt]
-        rhs = u + 0.5 * dt * (diag * u)
+        # u + 0.5 dt (diag u), then the off-diagonal terms; the ends stay 0
+        u, rhs = values[n, 1:-1], values[n + 1, 1:-1]
+        np.multiply(diag, u, out=rhs)
+        rhs *= 0.5 * dt
+        rhs += u
         rhs[:-1] += half_upper * u[1:]
         rhs[1:] += half_lower * u[:-1]
         if src is not None:
             phi_next = next(source_rows)
             rhs += 0.5 * dt * (phi_now + phi_next)
             phi_now = phi_next
-        rhs_full[1:-1] = rhs
-        u = dgttrs(*lu, rhs_full)[0][1:-1]
-        if not np.all(np.isfinite(u)):
+        dgttrs(*lu, values[n + 1], overwrite_b=1)
+        if not np.all(np.isfinite(values[n + 1])):
             raise SingularStep(f"non-finite state at step {n}")
-        values[n + 1, 1:-1] = u
 
     return SolutionField(grid=grid, times=times, values=values)
 
 
 def time_average(field: SolutionField, ws) -> GridFunction:
-    """Weighted trapezoid average in time plus the terminal contribution."""
+    """Weighted trapezoid average in time plus the terminal contribution.
+
+    One ``np.einsum`` contraction of the field with per-time weights (each
+    panel's ``0.5 w(t_mid) dt`` at both its ends, ``kappa`` at the last
+    time): no field-sized temporary, and unlike a BLAS matrix-vector
+    product the same bits whatever the thread count."""
     times = field.times
     horizon = ws.horizon
     if abs(times[-1] - horizon) > 1e-9 * horizon:
@@ -137,8 +144,7 @@ def time_average(field: SolutionField, ws) -> GridFunction:
         if np.min(np.abs(times - b)) > 1e-9 * horizon:
             raise BreakpointUnresolved(f"time grid misses weight breakpoint t = {b:g}")
 
-    dt = np.diff(times)
     w_mid = np.asarray(ws.value_at(0.5 * (times[:-1] + times[1:])))
-    panel = (w_mid * dt)[:, None] * 0.5 * (field.values[:-1] + field.values[1:])
-    out = panel.sum(axis=0) + ws.kappa * field.values[-1]
-    return GridFunction(field.grid, out)
+    weights = _trapezoid_in_time(times, w_mid)
+    weights[-1] += ws.kappa
+    return GridFunction(field.grid, np.einsum("i,ij->j", weights, field.values))

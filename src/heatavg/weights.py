@@ -254,7 +254,10 @@ def load_weight_table(path) -> tuple[tuple[float, float, float], ...]:
         fields = line.split()
         if len(fields) != 3:
             raise ValueError(f"{path}:{lineno}: expected 't_start t_end value'")
-        piece = tuple(float(f) for f in fields)
+        try:
+            piece = tuple(float(f) for f in fields)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         if not all(map(math.isfinite, piece)):
             raise ValueError(f"{path}:{lineno}: weight table values must be finite")
         pieces.append(piece)

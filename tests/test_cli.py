@@ -376,6 +376,38 @@ def test_non_finite_weight_is_input_error(tmp_path, weight, table, cause):
     assert cause in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_unparsable_weight_table_is_input_error(tmp_path):
+    (tmp_path / "w.txt").write_text("0.0 0.05 1.0\n0.05 0.1 abc\n")
+    cfg = write_config(tmp_path / "run.cfg", weight="case = table\ntable = w.txt")
+    proc = run_cli("spectrum", cfg, "--out-dir", tmp_path / "out", cwd=tmp_path)
+    assert proc.returncode == 3
+    assert "w.txt:2: " in proc.stderr and "'abc'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_oracle_time_average_bits_do_not_depend_on_blas_threads(tmp_path):
+    # a BLAS matrix-vector product splits the time sum by thread and so
+    # rounds differently with 1 and 2 threads; the average must not (no
+    # terminal weight here, which could swamp the difference)
+    script = (
+        "import hashlib, numpy as np, heatavg as ha\n"
+        "grid = ha.Grid.uniform(1.0, 1025)\n"
+        "times = np.linspace(0.0, 0.1, 2049)\n"
+        "values = np.random.default_rng(5).standard_normal((times.size, grid.n_nodes))\n"
+        "field = ha.SolutionField(grid=grid, times=times, values=values)\n"
+        "ws = ha.WeightSpec.average(0.1)\n"
+        "print(hashlib.sha256(ha.time_average(field, ws).values.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = {**child_env(), "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+
+
 def test_every_public_error_has_an_exit_code():
     # 2 for a broken multiplier band, 4 for an inadmissible weight, 3 for the rest;
     # anything else would escape `main` as a traceback

@@ -132,6 +132,16 @@ def test_field_slices_match_stored_values(pi_es):
     assert field.values[:, 0].max() == 0.0 and field.values[:, -1].max() == 0.0
 
 
+def test_single_time_field_slices_to_its_row():
+    grid = ha.Grid.uniform(1.0, 5)
+    row = np.array([0.0, 1.0, -2.0, 3.0, 0.0])
+    field = ha.SolutionField(grid, times=[0.0], values=row[None, :])
+    assert np.array_equal(field.slice_at(0.0).values, row)
+    for t in (-0.1, 0.1):
+        with pytest.raises(ha.TimeOutOfRange):
+            field.slice_at(t)
+
+
 def _reference_values_at(src, t):
     """Reference: `SourceTerm.values_at`'s former body, verbatim."""
     t = float(t)

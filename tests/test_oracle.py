@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,54 @@ def test_terminal_contribution():
     # integral of (1 + t) over [0, 0.05] = 0.05 + 0.05^2/2
     expected = 0.05 + 0.5 * 0.05**2 + 2.0 * 1.1
     assert np.max(np.abs(out.values - expected)) < 1e-12
+
+
+def _reference_time_average(field, ws):
+    """Reference: `time_average`'s former panel sum, breakpoint checks left out."""
+    times = field.times
+    dt = np.diff(times)
+    w_mid = np.asarray(ws.value_at(0.5 * (times[:-1] + times[1:])))
+    panel = (w_mid * dt)[:, None] * 0.5 * (field.values[:-1] + field.values[1:])
+    return panel.sum(axis=0) + ws.kappa * field.values[-1]
+
+
+_GAPPED = ((0.0, 0.0125, 3.0), (0.025, 0.05, 0.5), (0.075, 0.1, 1.5))
+
+
+@pytest.mark.parametrize("ws, breakpoints", [
+    (ha.WeightSpec.average(0.1), ()),
+    (ha.WeightSpec.quasi_boundary(0.1, eps=0.025, kappa=1.5), ()),
+    (ha.WeightSpec.from_pieces(0.8, _GAPPED, 0.1), ()),
+    (ha.WeightSpec.from_pieces(0.3, ((0.0, 0.0337, 2.0), (0.0612, 0.0901, 0.7)), 0.1),
+     (0.0337, 0.0612, 0.0901)),
+], ids=["average", "quasi_kappa", "gapped_kappa", "merged_breakpoints"])
+def test_time_average_matches_panel_sum(ws, breakpoints):
+    grid = ha.Grid.uniform(1.0, 65)
+    times = ha.StepperConfig(n_nodes=65, n_steps=256, breakpoints=breakpoints).time_grid(0.1)
+    assert (np.ptp(np.diff(times)) > 0.1 * np.diff(times).max()) == bool(breakpoints)
+    rng = np.random.default_rng(11)
+    for values in (rng.standard_normal((times.size, 65)),
+                   np.cos(3.0 * times)[:, None] * np.sin(np.pi * grid.nodes)[None, :]):
+        field = ha.SolutionField(grid=grid, times=times, values=values)
+        ref = _reference_time_average(field, ws)
+        out = ha.time_average(field, ws).values
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_time_average_makes_no_field_sized_temporary():
+    grid = ha.Grid.uniform(1.0, 513)
+    times = np.linspace(0.0, 0.1, 1025)
+    values = np.random.default_rng(3).standard_normal((times.size, grid.n_nodes))
+    field = ha.SolutionField(grid=grid, times=times, values=values)
+    ws = ha.WeightSpec.quasi_boundary(0.1, eps=0.025, kappa=2.0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ha.time_average(field, ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= field.values.nbytes / 8
 
 
 def test_missing_breakpoint_detected():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -201,6 +202,13 @@ def test_malformed_weight_table_rejected(tmp_path):
         ha.load_weight_table(path)
     path.write_text("")
     with pytest.raises(ValueError):
+        ha.load_weight_table(path)
+
+
+def test_unparsable_weight_table_entry_names_file_and_line(tmp_path):
+    path = tmp_path / "w.txt"
+    path.write_text("0.0 0.05 1.0\n0.05 0.1 abc\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: .*'abc'"):
         ha.load_weight_table(path)
 
 
