@@ -38,7 +38,6 @@ from .forward import (
 )
 from .inverse import (
     BoundaryViolation,
-    IllPosedWeight,
     InverseReport,
     norm_h2,
     recover_initial,
@@ -53,6 +52,7 @@ from .oracle import (
 )
 from .weights import (
     BoundViolated,
+    IllPosedWeight,
     MultiplierOverflow,
     StabilityConstants,
     WeightReport,

@@ -16,6 +16,7 @@ tridiagonal eigensolver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -135,18 +136,22 @@ class OperatorSpec:
     a: Callable[[np.ndarray], np.ndarray] | None = None
     a0: Callable[[np.ndarray], np.ndarray] | None = None
 
+    def __post_init__(self):
+        if self.length <= 0.0:
+            raise ValueError("interval length must be positive")
+        if self.kind == "constant" and self.diffusion <= 0.0:
+            raise NonElliptic("constant diffusion must be strictly positive")
+        for name, value in (("interval length", self.length), ("q", self.q),
+                            ("diffusion", self.diffusion)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value:g}")
+
     @classmethod
     def constant(cls, length: float, q: float = 0.0, diffusion: float = 1.0) -> "OperatorSpec":
-        if length <= 0.0:
-            raise ValueError("interval length must be positive")
-        if diffusion <= 0.0:
-            raise NonElliptic("constant diffusion must be strictly positive")
         return cls(length=float(length), kind="constant", diffusion=float(diffusion), q=float(q))
 
     @classmethod
     def from_callables(cls, length: float, a, a0) -> "OperatorSpec":
-        if length <= 0.0:
-            raise ValueError("interval length must be positive")
         return cls(length=float(length), kind="tabulated", a=a, a0=a0)
 
     @classmethod
@@ -165,8 +170,8 @@ class OperatorSpec:
             lambda t, _x=xs, _v=a0v: np.interp(t, _x, _v),
         )
 
-    def sample(self, grid: Grid) -> tuple[np.ndarray, np.ndarray, float]:
-        """Return (diffusion at midpoints, zero-order term at nodes, ellipticity).
+    def sample(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+        """Return (diffusion at midpoints, zero-order term at nodes).
 
         Raises NonElliptic when the sampled diffusion is not strictly positive.
         """
@@ -183,7 +188,7 @@ class OperatorSpec:
         delta = float(np.min(a_mid))
         if delta <= 0.0:
             raise NonElliptic(f"diffusion coefficient reaches {delta:g} <= 0 on the grid")
-        return a_mid, a0_nodes, delta
+        return a_mid, a0_nodes
 
 
 @dataclass(frozen=True)
@@ -203,7 +208,6 @@ class EigenSystem:
     lambdas: np.ndarray
     modes: np.ndarray
     first_positive: int
-    ellipticity: float
 
     def mode(self, k: int) -> GridFunction:
         return GridFunction(self.grid, self.modes[k])
@@ -250,11 +254,10 @@ def build_eigensystem(op: OperatorSpec, grid: Grid, n_modes: int) -> EigenSystem
         modes = np.sqrt(2.0 / op.length) * np.sin(np.outer(freq, grid.nodes))
         modes[:, 0] = 0.0
         modes[:, -1] = 0.0
-        delta = float(op.diffusion)
     else:
         from scipy.linalg import eigh_tridiagonal
 
-        a_mid, a0_nodes, delta = op.sample(grid)
+        a_mid, a0_nodes = op.sample(grid)
         h = grid.h
         diag = (a_mid[:-1] + a_mid[1:]) / h**2 - a0_nodes[1:-1]
         off = -a_mid[1:-1] / h**2
@@ -276,7 +279,6 @@ def build_eigensystem(op: OperatorSpec, grid: Grid, n_modes: int) -> EigenSystem
         lambdas=_frozen(lambdas),
         modes=_frozen(modes),
         first_positive=first_positive,
-        ellipticity=delta,
     )
 
 

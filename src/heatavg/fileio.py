@@ -140,7 +140,13 @@ def load_config(path) -> RunConfig:
     length = op_sec.getfloat("L")
     if "coeff_table" in op_sec:
         table = _resolve(path, op_sec["coeff_table"])
-        data = np.loadtxt(table, ndmin=2)
+        lines = table.read_text().splitlines()
+        if not any(line.split("#", 1)[0].strip() for line in lines):
+            raise ValueError(f"{table}: coefficient table has no data rows")
+        try:
+            data = np.loadtxt(lines, ndmin=2)
+        except ValueError as exc:  # loadtxt's text names the data row, not the file
+            raise ValueError(f"{table}: {exc}") from None
         if data.shape[1] != 3:
             raise ValueError(f"{table}: expected columns 'x a a0'")
         operator = OperatorSpec.from_table(length, data[:, 0], data[:, 1], data[:, 2])

@@ -29,10 +29,6 @@ class BoundaryViolation(ValueError):
     """Averaged data must vanish at both ends of the interval."""
 
 
-class IllPosedWeight(ValueError):
-    """The weight spec fails admissibility; inversion would be unstable."""
-
-
 @dataclass(frozen=True)
 class InverseReport:
     """Diagnostics attached to a recovered initial state.
@@ -88,29 +84,23 @@ def norm_h2(f: GridFunction, es: EigenSystem) -> float:
 
 
 def _invert(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec, es: EigenSystem,
-            allow_ill_posed: bool = False, stacklevel: int = 3) -> tuple[InverseReport, np.ndarray]:
+            allow_ill_posed: bool = False) -> InverseReport:
     """The one inversion step: subtract the source's averaged contribution
     (if any) from the data's eigencoefficients and divide by the multipliers.
-
-    Returns the report and the per-mode amplification 1/|multiplier|.  The
-    smoothness warning is issued ``stacklevel`` frames up, i.e. at the line
-    that called the public function.
-    """
+    The smoothness warning names the line that called the public function."""
     gamma = _checked_projection(mu, es)
-    report = ws.validate()
-    if not (report.ok or allow_ill_posed):
-        raise IllPosedWeight("; ".join(report.violations))
-    stability = stability_constants(ws, es) if report.ok else None
+    ill_posed = allow_ill_posed and not ws.validate().ok
+    stability = None if ill_posed else stability_constants(ws, es)
 
     source_avg = 0.0 if src is None else average_from_source(src, ws, es).coeffs
     reduced = gamma - source_avg
     mult = np.asarray(ws.multiplier(es.lambdas))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha = reduced / mult
-        amp = np.where(mult == 0.0, np.inf, 1.0 / np.abs(mult))
+        amplification = float(1.0 / np.min(np.abs(mult)))
 
     residual = float("nan")
-    if report.ok:
+    if stability is not None:
         replay = alpha * mult
         scale = 1.0 + float(np.max(np.abs(reduced)))
         if float(np.max(np.abs(replay - reduced))) > 1e-12 * scale:
@@ -126,17 +116,17 @@ def _invert(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec, es: EigenS
             f"(last decade of modes contributes {100 * tail:.1f}%); "
             "the prescribed average may lack the smoothness the stability "
             "guarantee assumes",
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
     return InverseReport(
         xi=SpectralVector(es, alpha),
         residual_mu=residual,
-        amplification=float(np.max(amp)),
+        amplification=amplification,
         stability=stability,
         h2_norm_mu=h2_value,
         truncation_residual=truncation,
         h2_tail_fraction=tail,
-    ), amp
+    )
 
 
 def recover_initial(mu: GridFunction, ws: WeightSpec, es: EigenSystem,
@@ -148,7 +138,7 @@ def recover_initial(mu: GridFunction, ws: WeightSpec, es: EigenSystem,
     anyway (possibly producing non-finite coefficients) purely so the
     report can document the amplification.
     """
-    return _invert(mu, None, ws, es, allow_ill_posed)[0]
+    return _invert(mu, None, ws, es, allow_ill_posed)
 
 
 def solve_inverse(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec,
@@ -163,5 +153,5 @@ def solve_inverse(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec,
     algebra up to rounding.  The source average is exact; independent
     verification of it is the oracle's job.
     """
-    rep, _ = _invert(mu, src, ws, es)
+    rep = _invert(mu, src, ws, es)
     return solve_forward(rep.xi, src, times=times, horizon=ws.horizon), rep

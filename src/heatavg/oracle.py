@@ -77,7 +77,7 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
 
-    a_mid, a0_nodes, _ = op.sample(grid)
+    a_mid, a0_nodes = op.sample(grid)
     h = grid.h
     # Interior difference operator: lower/diag/upper of (a u')' + a0 u.
     lower = a_mid[1:-1] / h**2

@@ -33,6 +33,10 @@ class BoundViolated(RuntimeError):
     """A computed multiplier escaped its proven band; indicates a code bug."""
 
 
+class IllPosedWeight(ValueError):
+    """The weight spec fails admissibility; inversion would be unstable."""
+
+
 class MultiplierOverflow(ValueError):
     """A multiplier is not finite: exp(-lambda t) overflows for an eigenvalue
     far below zero.  ``mode`` is the 1-based index of the first such entry."""
@@ -48,9 +52,6 @@ class WeightReport:
 
     ok: bool
     violations: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,20 @@ def load_weight_table(path) -> tuple[tuple[float, float, float], ...]:
     return tuple(pieces)
 
 
-def _constants_unchecked(ws: WeightSpec, es: EigenSystem) -> tuple[StabilityConstants, list[int]]:
+def stability_constants(ws: WeightSpec, es: EigenSystem) -> StabilityConstants:
+    """The one gate for a weight: check admissibility, then compute the
+    multiplier band (c1, c2) and verify it mode by mode.
+
+    Raises `IllPosedWeight` when the weight fails admissibility.  The lower
+    constant is min over the leading multipliers and
+    w_* (1 - exp(-lambda_m * T1)); the upper one is max over the leading
+    multipliers and sup w + kappa/(e*T).  Every retained mode is checked
+    against its band; a violation means the implementation is broken, not
+    that the input is bad, hence BoundViolated.
+    """
+    report = ws.validate()
+    if not report.ok:
+        raise IllPosedWeight("; ".join(report.violations))
     fp = es.first_positive
     if fp >= es.n_modes:
         raise ValueError("no positive eigenvalue within the truncation; increase the mode count")
@@ -277,27 +291,11 @@ def _constants_unchecked(ws: WeightSpec, es: EigenSystem) -> tuple[StabilityCons
     leading = mult[: fp + 1]
     c1 = min(float(np.min(leading)), w_star * float(-np.expm1(-lam_m * ws.t1)))
     c2 = max(float(np.max(leading)), ws.sup() + ws.kappa / (math.e * ws.horizon))
+    if not 0.0 < c1 < c2:
+        raise BoundViolated(f"degenerate band c1={c1:g}, c2={c2:g}")
 
     scaled = np.concatenate([mult[:fp], lam[fp:] * mult[fp:]])
-    bad = (scaled < c1 * (1.0 - _GUARD)) | (scaled > c2 * (1.0 + _GUARD))
-    return StabilityConstants(c1=c1, c2=c2, m=fp + 1), list(np.nonzero(bad)[0] + 1)
-
-
-def stability_constants(ws: WeightSpec, es: EigenSystem) -> StabilityConstants:
-    """Compute the multiplier band (c1, c2) and verify it mode by mode.
-
-    The lower constant is min over the leading multipliers and
-    w_* (1 - exp(-lambda_m * T1)); the upper one is max over the leading
-    multipliers and sup w + kappa/(e*T).  Every retained mode is checked
-    against its band; a violation means the implementation is broken, not
-    that the input is bad, hence BoundViolated.
-    """
-    report = ws.validate()
-    if not report.ok:
-        raise ValueError("weight spec is not admissible: " + "; ".join(report.violations))
-    sc, bad = _constants_unchecked(ws, es)
-    if not 0.0 < sc.c1 < sc.c2:
-        raise BoundViolated(f"degenerate band c1={sc.c1:g}, c2={sc.c2:g}")
-    if bad:
-        raise BoundViolated(f"multiplier bounds violated at modes {bad[:8]}")
-    return sc
+    bad = np.flatnonzero((scaled < c1 * (1.0 - _GUARD)) | (scaled > c2 * (1.0 + _GUARD))) + 1
+    if bad.size:
+        raise BoundViolated(f"multiplier bounds violated at modes {bad[:8].tolist()}")
+    return StabilityConstants(c1=c1, c2=c2, m=fp + 1)

@@ -28,5 +28,20 @@ def pi_es():
     return ha.build_eigensystem(op, grid, 20)
 
 
+@pytest.fixture()
+def broken_band(monkeypatch):
+    """Scale mode 5's multiplier by ten, as a bug in `WeightSpec.multiplier`
+    would; lambda * multiplier then leaves the band for every setup here."""
+    multiplier = ha.WeightSpec.multiplier
+
+    def broken(self, lam):
+        out = multiplier(self, lam)
+        if np.ndim(out):
+            out[4] *= 10.0
+        return out
+
+    monkeypatch.setattr(ha.WeightSpec, "multiplier", broken)
+
+
 def l2_distance(gf_a, gf_b):
     return ha.GridFunction(gf_a.grid, gf_a.values - gf_b.values).norm_l2()

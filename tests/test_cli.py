@@ -331,7 +331,15 @@ def test_non_finite_source_is_input_error(small_setup, tmp_path, command):
     (f"T = {T!r}", "T = nan", "T must be positive and finite"),
     (f"T = {T!r}", "T = inf", "T must be positive and finite"),
     ("case = average", "case = average\nkappa = nan", "kappa must be finite"),
-], ids=["T_nan", "T_inf", "kappa_nan"])
+    ("q = 0.0", "q = nan", "q must be finite, not nan"),
+    ("q = 0.0", "q = inf", "q must be finite, not inf"),
+    ("q = 0.0", "q = -inf", "q must be finite, not -inf"),
+    ("q = 0.0", "q = 0.0\ndiffusion = nan", "diffusion must be finite, not nan"),
+    ("q = 0.0", "q = 0.0\ndiffusion = inf", "diffusion must be finite, not inf"),
+    (f"L = {L!r}", "L = nan", "interval length must be finite, not nan"),
+    (f"L = {L!r}", "L = inf", "interval length must be finite, not inf"),
+], ids=["T_nan", "T_inf", "kappa_nan", "q_nan", "q_inf", "q_minus_inf", "diffusion_nan",
+        "diffusion_inf", "L_nan", "L_inf"])
 def test_non_finite_config_is_input_error(tmp_path, old, new, cause):
     cfg = write_config(tmp_path / "run.cfg")
     cfg.write_text(cfg.read_text().replace(old, new))
@@ -383,6 +391,39 @@ def test_unparsable_weight_table_is_input_error(tmp_path):
     assert proc.returncode == 3
     assert "w.txt:2: " in proc.stderr and "'abc'" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("table, cause", [
+    ("0.0 1.0 0.0\n3.0 abc 0.0\n6.3 1.0 0.0\n", "coeffs.txt: could not convert string 'abc'"),
+    ("", "coeffs.txt: coefficient table has no data rows"),
+    ("# x a a0\n\n", "coeffs.txt: coefficient table has no data rows"),
+], ids=["unparsable", "empty", "comments_only"])
+def test_bad_coefficient_table_is_input_error(tmp_path, table, cause):
+    (tmp_path / "coeffs.txt").write_text(table)
+    cfg = write_config(tmp_path / "run.cfg")
+    cfg.write_text(cfg.read_text().replace("q = 0.0", "coeff_table = coeffs.txt"))
+    proc = run_cli("spectrum", cfg, "--out-dir", tmp_path / "out", cwd=tmp_path)
+    assert proc.returncode == 3
+    assert cause in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("option, figure1", [(["--n-modes", "0"], ""), ([], "N = 0")],
+                         ids=["flag", "config"])
+def test_figure1_zero_modes_is_input_error(tmp_path, option, figure1):
+    cfg = write_config(tmp_path / "run.cfg", figure1=figure1)
+    proc = run_cli("figure1", cfg, *option, "--out-dir", tmp_path / "out", cwd=tmp_path)
+    assert proc.returncode == 3
+    assert "need at least one mode" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_band_violation_exits_2_without_spectrum_csv(tmp_path, capsys, broken_band):
+    cfg = write_config(tmp_path / "run.cfg")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", str(cfg), "--out-dir", str(out)]) == cli.EXIT_BOUND
+    err = capsys.readouterr().err
+    assert "multiplier bound violated: multiplier bounds violated at modes [5]" in err
+    assert not (out / "spectrum.csv").exists()
 
 
 def test_oracle_time_average_bits_do_not_depend_on_blas_threads(tmp_path):

@@ -79,6 +79,13 @@ def test_override_keeps_the_raw_quotient(default_es):
     assert math.isnan(rep.residual_mu) and rep.amplification == math.inf
 
 
+def test_amplification_is_the_largest_reciprocal_multiplier(default_es, avg_ws):
+    # a correctly rounded reciprocal is monotone, so 1/min|m| has the bits of max 1/|m|
+    rep = ha.recover_initial(ha.GridFunction(default_es.grid, default_es.modes[0]),
+                             avg_ws, default_es)
+    assert rep.amplification == np.max(1.0 / avg_ws.multiplier(default_es.lambdas))
+
+
 def test_norm_h2_examples(pi_es):
     v1 = ha.GridFunction(pi_es.grid, pi_es.modes[0])
     assert ha.norm_h2(v1, pi_es) == pytest.approx(pi_es.lambdas[0], rel=1e-12)

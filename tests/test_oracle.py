@@ -179,7 +179,7 @@ def _reference_step_evolution(op, xi, src, horizon, cfg):
     """Reference: a banded solve at every step, with `step_evolution`'s former
     arithmetic verbatim and its input and finiteness checks left out."""
     grid = xi.grid
-    a_mid, a0_nodes, _ = op.sample(grid)
+    a_mid, a0_nodes = op.sample(grid)
     h = grid.h
     # Interior difference operator: lower/diag/upper of (a u')' + a0 u.
     lower = a_mid[1:-1] / h**2

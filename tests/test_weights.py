@@ -180,6 +180,16 @@ def test_negative_leading_eigenvalues_use_plain_multiplier_bound():
     assert np.all(mult[:2] <= sc.c2 * (1 + 1e-12))
 
 
+def test_stability_constants_refuses_an_inadmissible_weight(pi_es):
+    with pytest.raises(ha.IllPosedWeight, match="no T1 with ess inf > 0"):
+        ha.stability_constants(ha.WeightSpec.terminal(T), pi_es)
+
+
+def test_multiplier_out_of_band_names_the_mode(pi_es, broken_band):
+    with pytest.raises(ha.BoundViolated, match=r"multiplier bounds violated at modes \[5\]$"):
+        ha.stability_constants(ha.WeightSpec.average(T), pi_es)
+
+
 def test_weight_table_round_trip(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text(
