@@ -21,7 +21,6 @@ from .basis import (
     basis_vector,
     build_eigensystem,
     project,
-    projection_residual,
     synthesize,
 )
 from .forward import (
@@ -94,7 +93,6 @@ __all__ = [
     "load_weight_table",
     "norm_h2",
     "project",
-    "projection_residual",
     "recover_initial",
     "solve_forward",
     "solve_inverse",

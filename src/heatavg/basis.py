@@ -17,7 +17,7 @@ tridiagonal eigensolver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -43,40 +43,30 @@ def _frozen(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on [0, L], endpoints included."""
+    """Uniform grid on [0, length] with ``n_nodes`` nodes, endpoints included.
 
-    nodes: np.ndarray
+    A grid is the pair (length, n_nodes); ``nodes`` is derived from it, so
+    grids with equal pairs are equal.
+    """
+
+    length: float
+    n_nodes: int
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = _frozen(self.nodes)
-        object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or nodes.size < 3:
+        if not 0.0 < self.length < math.inf:
+            raise ValueError(f"interval length must be positive and finite, not {self.length:g}")
+        object.__setattr__(self, "nodes", _frozen(np.linspace(0.0, self.length, self.n_nodes)))
+        if self.n_nodes < 3:
             raise ValueError("a grid needs at least three nodes")
-        if nodes[0] != 0.0:
-            raise ValueError("grid must start at x = 0")
-        if not np.all(np.diff(nodes) > 0.0):
-            raise ValueError("grid nodes must be strictly increasing")
-        h = nodes[-1] / (nodes.size - 1)
-        if np.max(np.abs(np.diff(nodes) - h)) > 1e-12 * h:
-            raise ValueError("grid spacing must be uniform")
 
     @classmethod
     def uniform(cls, length: float, n_nodes: int) -> "Grid":
-        if length <= 0.0:
-            raise ValueError("interval length must be positive")
-        return cls(np.linspace(0.0, float(length), int(n_nodes)))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.size
-
-    @property
-    def length(self) -> float:
-        return float(self.nodes[-1])
+        return cls(float(length), int(n_nodes))
 
     @property
     def h(self) -> float:
-        return float(self.nodes[-1] / (self.nodes.size - 1))
+        return self.length / (self.n_nodes - 1)
 
     @property
     def midpoints(self) -> np.ndarray:
@@ -86,10 +76,6 @@ class Grid:
         w = np.full(self.n_nodes, self.h)
         w[0] = w[-1] = 0.5 * self.h
         return w
-
-
-def same_grid(g1: Grid, g2: Grid) -> bool:
-    return g1 is g2 or (g1.n_nodes == g2.n_nodes and np.array_equal(g1.nodes, g2.nodes))
 
 
 @dataclass(frozen=True)
@@ -209,9 +195,6 @@ class EigenSystem:
     modes: np.ndarray
     first_positive: int
 
-    def mode(self, k: int) -> GridFunction:
-        return GridFunction(self.grid, self.modes[k])
-
 
 @dataclass(frozen=True)
 class SpectralVector:
@@ -225,9 +208,6 @@ class SpectralVector:
         object.__setattr__(self, "coeffs", coeffs)
         if coeffs.shape != (self.es.n_modes,):
             raise ValueError("coefficient count does not match the eigensystem")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 def basis_vector(es: EigenSystem, k: int) -> SpectralVector:
@@ -284,7 +264,7 @@ def build_eigensystem(op: OperatorSpec, grid: Grid, n_modes: int) -> EigenSystem
 
 def project(f: GridFunction, es: EigenSystem) -> SpectralVector:
     """Expand ``f`` in the eigenbasis via trapezoid inner products."""
-    if not same_grid(f.grid, es.grid):
+    if f.grid != es.grid:
         raise GridMismatch("function and eigensystem use different grids")
     weighted = es.grid.trapezoid_weights() * f.values
     return SpectralVector(es, es.modes @ weighted)
@@ -296,8 +276,3 @@ def synthesize(c: SpectralVector, es: EigenSystem) -> GridFunction:
         raise GridMismatch("coefficients belong to a different eigensystem")
     return GridFunction(es.grid, c.coeffs @ es.modes)
 
-
-def projection_residual(f: GridFunction, es: EigenSystem) -> float:
-    """L2 distance between ``f`` and its projection onto the truncated basis."""
-    back = synthesize(project(f, es), es)
-    return GridFunction(f.grid, f.values - back.values).norm_l2()

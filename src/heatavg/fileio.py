@@ -160,6 +160,9 @@ def load_config(path) -> RunConfig:
     horizon = run.getfloat("T")
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"{path}: T must be positive and finite")
+    n_times = run.getint("n_times", 129)
+    if n_times < 2:
+        raise ValueError(f"{path}: n_times must be at least 2, not {n_times}")
 
     weight = _load_weight(parser, path, horizon)
 
@@ -176,7 +179,7 @@ def load_config(path) -> RunConfig:
         n_modes=run.getint("N", 300),
         n_nodes=run.getint("n_nodes", 1025),
         n_steps=run.getint("n_steps", 2048),
-        n_times=run.getint("n_times", 129),
+        n_times=n_times,
         onset=run.getfloat("onset", 0.0),
         delta=float(fig.get("delta", 0.1)) if fig else 0.1,
         frequencies=frequencies,

@@ -31,7 +31,6 @@ from .basis import (
     GridFunction,
     GridMismatch,
     SpectralVector,
-    same_grid,
     _frozen,
 )
 from .weights import WeightSpec, _check_finite
@@ -146,7 +145,7 @@ class SourceTerm:
         """Per-instant expansion of the source in ``es``; rows follow ``times``."""
         if self.coeffs is not None and self.es is es:
             return self.coeffs
-        if not same_grid(self.grid, es.grid):
+        if self.grid != es.grid:
             raise GridMismatch("source and eigensystem use different grids")
         w = es.grid.trapezoid_weights()
         return (self.values * w) @ es.modes.T
@@ -154,28 +153,6 @@ class SourceTerm:
     def values_at(self, t: float) -> np.ndarray:
         """Grid samples of the source at time t (linear interpolation)."""
         return next(_rows_at(self.times, self.values, np.array([t], dtype=float)))
-
-    def regularity_norm(self) -> float:
-        """Size of the source in the norm combining its space-time L2 norm,
-        its slice at the onset, and the time-integrated L2 norm of its
-        piecewise time derivative on [onset, horizon]."""
-        w = self.grid.trapezoid_weights()
-
-        def ip(f, g):
-            return float(np.sum(w * f * g))
-
-        sq = 0.0
-        deriv_part = 0.0
-        for i in range(self.times.size - 1):
-            dt = self.times[i + 1] - self.times[i]
-            f = self.values[i]
-            g = (self.values[i + 1] - self.values[i]) / dt
-            sq += dt * ip(f, f) + dt**2 * ip(f, g) + dt**3 * ip(g, g) / 3.0
-            overlap = max(0.0, min(self.times[i + 1], self.horizon) - max(self.times[i], self.onset))
-            if overlap > 0.0:
-                deriv_part += overlap * math.sqrt(max(ip(g, g), 0.0))
-        onset_slice = self.values_at(self.onset)
-        return math.sqrt(max(sq, 0.0)) + math.sqrt(max(ip(onset_slice, onset_slice), 0.0)) + deriv_part
 
 
 def _rows_at(knots: np.ndarray, rows: np.ndarray, times: np.ndarray):
@@ -245,11 +222,6 @@ class SolutionField:
         if not self.times[0] <= t <= self.times[-1]:
             raise TimeOutOfRange(f"t = {t:g} outside [{self.times[0]:g}, {self.times[-1]:g}]")
         return GridFunction(self.grid, next(_rows_at(self.times, self.values, np.array([t]))))
-
-    def evaluate(self, x, t: float):
-        """Point values at arbitrary (x, t) via the slice plus linear x-interpolation."""
-        slc = self.slice_at(t)
-        return np.interp(np.asarray(x, dtype=float), self.grid.nodes, slc.values)
 
     def norm_l2(self) -> float:
         """Space-time L2 norm (trapezoid in both directions)."""
@@ -350,7 +322,7 @@ def solve_forward(xi: SpectralVector, src: SourceTerm | None = None,
             raise ValueError("pass a horizon when there is no source")
         horizon = src.horizon
     if src is not None:
-        if not same_grid(src.grid, es.grid):
+        if src.grid != es.grid:
             raise GridMismatch("source and eigensystem use different grids")
         if abs(src.horizon - horizon) > 1e-12 * horizon:
             raise ValueError("source tabulation does not span the horizon")

@@ -5,7 +5,7 @@ k by a strictly positive multiplier.  Inversion is therefore plain per-mode
 division; admissibility of the weight (checked up front) guarantees the
 reciprocals grow at most linearly with the eigenvalue, so no damping or
 filtering is applied.  Modes beyond the truncation are set to zero and the
-report carries the projection residual so the bias is visible.
+report carries the truncation residual so the bias is visible.
 
 The excluded configuration (terminal coefficient only, zero weight) makes
 the multipliers decay exponentially; inverting it is refused unless the

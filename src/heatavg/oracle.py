@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import GridFunction, OperatorSpec, same_grid
+from .basis import GridFunction, OperatorSpec
 from .forward import SolutionField, SourceTerm, _rows_at, _trapezoid_in_time
 
 
@@ -72,7 +72,7 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     grid = xi.grid
     if grid.n_nodes != cfg.n_nodes:
         raise ValueError("config n_nodes does not match the initial state's grid")
-    if src is not None and not same_grid(src.grid, grid):
+    if src is not None and src.grid != grid:
         raise ValueError("source and initial state use different grids")
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")

@@ -73,13 +73,9 @@ def _check_finite(values: np.ndarray, lam: np.ndarray) -> None:
 
 
 def _decay_integral(lam, width):
-    """integral_0^width exp(-lam*s) ds, stable near lam = 0."""
-    lam = np.asarray(lam, dtype=float)
+    """integral_0^width exp(-lam*s) ds for an array ``lam``, stable near lam = 0."""
     safe = np.where(lam == 0.0, 1.0, lam)
-    out = np.where(lam == 0.0, width, -np.expm1(-lam * width) / safe)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(lam == 0.0, width, -np.expm1(-lam * width) / safe)
 
 
 @dataclass(frozen=True)

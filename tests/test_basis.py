@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -84,7 +87,7 @@ def test_tabulated_path_converges_at_second_order():
 
 
 def test_project_picks_out_basis_mode(pi_es):
-    c = ha.project(pi_es.mode(1), pi_es)
+    c = ha.project(ha.GridFunction(pi_es.grid, pi_es.modes[1]), pi_es)
     expected = np.zeros(pi_es.n_modes)
     expected[1] = 1.0
     assert np.max(np.abs(c.coeffs - expected)) < 1e-12
@@ -98,7 +101,8 @@ def test_project_zero_function(pi_es):
 def test_project_cusp_profile_residual(default_es):
     # measured truncation diagnostic for the experiment's data profile
     mu = ha.GridFunction(default_es.grid, cusp_bump(default_es.grid.nodes, default_es.grid.length))
-    assert ha.projection_residual(mu, default_es) < 1e-3
+    back = ha.synthesize(ha.project(mu, default_es), default_es)
+    assert ha.GridFunction(mu.grid, mu.values - back.values).norm_l2() < 1e-3
 
 
 def test_synthesize_unit_vector(pi_es):
@@ -113,7 +117,8 @@ def test_projection_identity_on_span(pi_es):
     f = ha.synthesize(ha.SpectralVector(pi_es, c), pi_es)
     back = ha.project(f, pi_es)
     assert np.max(np.abs(back.coeffs - c)) < 1e-10
-    assert ha.projection_residual(f, pi_es) < 1e-10
+    again = ha.synthesize(back, pi_es)
+    assert ha.GridFunction(f.grid, f.values - again.values).norm_l2() < 1e-10
 
 
 def test_parseval_identity(pi_es):
@@ -138,6 +143,39 @@ def test_truncation_bound_enforced():
     with pytest.raises(ha.TruncationTooLarge):
         ha.build_eigensystem(op, grid, 16)
     ha.build_eigensystem(op, grid, 15)  # the boundary case is fine
+
+
+@pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_grid_rejects_bad_length(length):
+    message = f"interval length must be positive and finite, not {length:g}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ha.Grid.uniform(length, 9)
+
+
+@pytest.mark.parametrize("length, n_nodes, accepted", [
+    (np.pi, 257, True), (np.pi, 129, False), (0.5 * np.pi, 257, False),
+], ids=["equal_pair", "other_n_nodes", "other_length"])
+def test_grids_are_equal_by_their_pair(pi_es, length, n_nodes, accepted):
+    # a grid is (length, n_nodes): a distinct object built from the pair of the
+    # eigensystem's grid passes every grid check, any other pair fails them all
+    grid = ha.Grid.uniform(length, n_nodes)
+    assert grid is not pi_es.grid
+    f = ha.GridFunction(grid, np.sin(np.pi / length * grid.nodes))
+    src = ha.SourceTerm.from_grid_history(grid, [0.0, 0.1], [f.values, 2.0 * f.values])
+    xi = ha.basis_vector(pi_es, 0)
+    cfg = ha.StepperConfig(n_nodes=pi_es.grid.n_nodes, n_steps=4)
+    calls = [
+        (ha.GridMismatch, lambda: ha.project(f, pi_es)),
+        (ha.GridMismatch, lambda: src.coefficients(pi_es)),
+        (ha.GridMismatch, lambda: ha.solve_forward(xi, src)),
+        (ValueError, lambda: ha.step_evolution(pi_es.op, ha.synthesize(xi, pi_es), src, 0.1, cfg)),
+    ]
+    for error, call in calls:
+        if accepted:
+            call()
+        else:
+            with pytest.raises(error, match="different grids"):
+                call()
 
 
 def test_grid_mismatch_rejected(pi_es):

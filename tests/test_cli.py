@@ -327,6 +327,20 @@ def test_non_finite_source_is_input_error(small_setup, tmp_path, command):
     assert "source values must be finite" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("n_times", [0, 1])
+@pytest.mark.parametrize("command", ["forward", "invert", "oracle"])
+def test_too_few_output_times_is_input_error(small_setup, tmp_path, command, n_times):
+    # fewer than two rows make a field CSV the package cannot read back
+    _, grid, *_ = small_setup
+    cfg = write_config(tmp_path / "run.cfg", n_times=n_times)
+    write_grid_csv(tmp_path / "f.csv", ha.GridFunction(grid, np.sin(grid.nodes / 2.0)))
+    out = tmp_path / "out"
+    proc = run_cli(command, cfg, tmp_path / "f.csv", "--out-dir", out, cwd=tmp_path)
+    assert proc.returncode == 3
+    assert f"n_times must be at least 2, not {n_times}" in proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists()
+
+
 @pytest.mark.parametrize("old, new, cause", [
     (f"T = {T!r}", "T = nan", "T must be positive and finite"),
     (f"T = {T!r}", "T = inf", "T must be positive and finite"),
@@ -447,6 +461,15 @@ def test_oracle_time_average_bits_do_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout)
     assert digests[0] == digests[1]
+
+
+def test_public_names_resolve_once():
+    # the exit-code test below reads names with __dict__.get, so a stale entry
+    # would pass it silently; a star import fails on one
+    namespace = {}
+    exec("from heatavg import *", namespace)
+    assert all(name in namespace for name in ha.__all__)
+    assert len(set(ha.__all__)) == len(ha.__all__)
 
 
 def test_every_public_error_has_an_exit_code():
