@@ -56,9 +56,9 @@ class Grid:
     def __post_init__(self):
         if not 0.0 < self.length < math.inf:
             raise ValueError(f"interval length must be positive and finite, not {self.length:g}")
-        object.__setattr__(self, "nodes", _frozen(np.linspace(0.0, self.length, self.n_nodes)))
         if self.n_nodes < 3:
             raise ValueError("a grid needs at least three nodes")
+        object.__setattr__(self, "nodes", _frozen(np.linspace(0.0, self.length, self.n_nodes)))
 
     @classmethod
     def uniform(cls, length: float, n_nodes: int) -> "Grid":
@@ -271,8 +271,10 @@ def project(f: GridFunction, es: EigenSystem) -> SpectralVector:
 
 
 def synthesize(c: SpectralVector, es: EigenSystem) -> GridFunction:
-    """Sum the modes with the given coefficients back onto the grid."""
+    """Sum the modes with the given coefficients back onto the grid.  The sum
+    is an einsum, not a BLAS product, so its bits do not depend on the BLAS
+    thread count."""
     if c.es is not es:
         raise GridMismatch("coefficients belong to a different eigensystem")
-    return GridFunction(es.grid, c.coeffs @ es.modes)
+    return GridFunction(es.grid, np.einsum("i,ij->j", c.coeffs, es.modes))
 

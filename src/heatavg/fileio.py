@@ -163,6 +163,9 @@ def load_config(path) -> RunConfig:
     n_times = run.getint("n_times", 129)
     if n_times < 2:
         raise ValueError(f"{path}: n_times must be at least 2, not {n_times}")
+    n_nodes = run.getint("n_nodes", 1025)
+    if n_nodes < 3:
+        raise ValueError(f"{path}: n_nodes must be at least 3, not {n_nodes}")
 
     weight = _load_weight(parser, path, horizon)
 
@@ -177,7 +180,7 @@ def load_config(path) -> RunConfig:
         weight=weight,
         horizon=horizon,
         n_modes=run.getint("N", 300),
-        n_nodes=run.getint("n_nodes", 1025),
+        n_nodes=n_nodes,
         n_steps=run.getint("n_steps", 2048),
         n_times=n_times,
         onset=run.getfloat("onset", 0.0),

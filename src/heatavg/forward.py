@@ -10,8 +10,12 @@ constant, so one exact kernel serves every use of this integral: a
 recursion over the knots in the exponential-integrator functions
 phi_1, phi_2, phi_3 (Hochbruck & Ostermann, Acta Numerica 2010) gives the
 Duhamel term of all modes at the knots, at any batch of times, and its
-integral against the weight.  Applying the weighted time average to these
-evolutions gives the two building blocks of the inverse pipeline: the
+integral against the weight.  Near z = 0 the phi-functions are Taylor
+series, summed for all orders in one Horner pass.  Field coefficients are
+filled in row blocks small enough to stay in cache, so no temporary of size
+(times, modes) is made; blocking changes no bit, since each value takes the
+same operations in the same order.  Applying the weighted time average to
+these evolutions gives the two building blocks of the inverse pipeline: the
 diagonal action on initial coefficients (multiplier times coefficient) and
 the source contribution, both exact up to rounding.  Independent
 verification of either is the finite-difference oracle's job.
@@ -46,6 +50,9 @@ class OnsetInvalid(ValueError):
 
 _PHI_SERIES_CUTOFF = 1.0
 _PHI_SERIES_TERMS = 20  # truncation below 1/21! relative for |z| < 1
+# _PHI_SERIES[k - 1, j] = 1/(j + k)!, the Taylor coefficients of phi_1 .. phi_3
+_PHI_SERIES = np.array([[1.0 / math.factorial(j + k) for j in range(_PHI_SERIES_TERMS)]
+                        for k in (1, 2, 3)])
 
 
 def _phis(z: np.ndarray, order: int) -> list[np.ndarray]:
@@ -54,21 +61,23 @@ def _phis(z: np.ndarray, order: int) -> list[np.ndarray]:
 
     Away from 0 the recurrence phi_{k+1} = (phi_k - 1/k!) / z is used; it
     cancels as z -> 0, so below the cutoff the Taylor series
-    sum_j z^j / (j + k)! is summed instead (lam = 0 is then exact).
+    sum_j z^j / (j + k)! is summed instead (lam = 0 is then exact), for
+    every order in one Horner pass.
     """
     small = np.abs(z) < _PHI_SERIES_CUTOFF
     zs = z[small]
     zd = np.where(small, 1.0, z)
+    series = np.zeros((order, zs.size))
+    for j in range(_PHI_SERIES_TERMS - 1, -1, -1):
+        series *= zs
+        series += _PHI_SERIES[:order, j, None]
     phis = [np.exp(z)]
     direct = np.expm1(zd) / zd
     for k in range(1, order + 1):
         if k > 1:
             direct = (direct - 1.0 / math.factorial(k - 1)) / zd
-        series = np.zeros_like(zs)
-        for j in range(_PHI_SERIES_TERMS - 1, -1, -1):
-            series = series * zs + 1.0 / math.factorial(j + k)
         phi = direct.copy()
-        phi[small] = series
+        phi[small] = series[k - 1]
         phis.append(phi)
     return phis
 
@@ -241,7 +250,8 @@ def duhamel(src: SourceTerm, k: int, t: float, es: EigenSystem | None = None) ->
     es = es or src.es
     if es is None:
         raise ValueError("source has no eigensystem; pass one explicitly")
-    return float(_duhamel_at(src, es, t)[0, k])
+    times = _checked_times(t, src.horizon)
+    return float(_duhamel_rows(_knot_states(src, es), es, times)[0, k])
 
 
 def _checked_times(times, horizon: float) -> np.ndarray:
@@ -276,11 +286,10 @@ def _knot_states(src: SourceTerm, es: EigenSystem, breaks=()):
     return knots, a, b, states, h, phi
 
 
-def _duhamel_at(src: SourceTerm, es: EigenSystem, times) -> np.ndarray:
-    """Duhamel term of all modes at each of ``times``, one row per time,
-    stepped exactly from the knot at or before it."""
-    times = _checked_times(times, src.horizon)
-    knots, a, b, states, _, _ = _knot_states(src, es)
+def _duhamel_rows(knot_states, es: EigenSystem, times: np.ndarray) -> np.ndarray:
+    """Duhamel rows at ``times`` (already checked), each stepped exactly from
+    the knot at or before it, given the `_knot_states` of the source."""
+    knots, a, b, states, _, _ = knot_states
     i = np.clip(np.searchsorted(knots, times, side="right") - 1, 0, knots.size - 2)
     w = (times - knots[i])[:, None]
     phi = _phis(-w * es.lambdas, 2)
@@ -300,15 +309,30 @@ def _source_average(src: SourceTerm, es: EigenSystem, ws: WeightSpec) -> np.ndar
     return out
 
 
+# Field coefficients are filled this many float64 values at a time (64 KiB):
+# a block and its temporaries stay in L2 and below glibc's default 128 KiB
+# mmap threshold, so none of them costs an mmap, its page faults and an munmap.
+_BLOCK_VALUES = 8192
+
+
 def _coeffs_at(alpha: SpectralVector, src: SourceTerm | None, es: EigenSystem,
                times, horizon: float) -> np.ndarray:
     """Field coefficients at each of ``times``, one row per time; raises
     `MultiplierOverflow` for the first mode whose column is not finite."""
     times = _checked_times(times, horizon)
+    if src is not None:
+        _checked_times(times, src.horizon)
+    coeffs = np.empty((times.size, es.n_modes))
+    rows = max(1, _BLOCK_VALUES // es.n_modes)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = alpha.coeffs * np.exp(-np.multiply.outer(times, es.lambdas))
-        if src is not None:
-            coeffs = coeffs + _duhamel_at(src, es, times)
+        knot_states = _knot_states(src, es) if src is not None else None
+        for start in range(0, times.size, rows):
+            t, block = times[start:start + rows], coeffs[start:start + rows]
+            # (-t) * lam rounds to exactly -(t * lam)
+            np.exp(np.multiply.outer(-t, es.lambdas, out=block), out=block)
+            block *= alpha.coeffs
+            if knot_states is not None:
+                block += _duhamel_rows(knot_states, es, t)
     _check_finite(coeffs, es.lambdas)
     return coeffs
 

@@ -152,6 +152,13 @@ def test_grid_rejects_bad_length(length):
         ha.Grid.uniform(length, 9)
 
 
+@pytest.mark.parametrize("n_nodes", [-5, 0, 2])
+def test_grid_rejects_too_few_nodes(n_nodes):
+    # checked before the nodes are made, so numpy's own message never shows
+    with pytest.raises(ValueError, match="^a grid needs at least three nodes$"):
+        ha.Grid.uniform(1.0, n_nodes)
+
+
 @pytest.mark.parametrize("length, n_nodes, accepted", [
     (np.pi, 257, True), (np.pi, 129, False), (0.5 * np.pi, 257, False),
 ], ids=["equal_pair", "other_n_nodes", "other_length"])

@@ -31,10 +31,22 @@ def run_cli(*args, cwd):
 
 
 def test_import_does_not_load_scipy(tmp_path):
-    # scipy is imported where it is used: the tabulated eigensolve and the oracle
-    proc = subprocess.run(
-        [sys.executable, "-c", "import heatavg, sys; assert 'scipy' not in sys.modules"],
-        cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+    # scipy is imported where it is used: the tabulated eigensolve and the
+    # oracle; a constant operator's commands other than `oracle` never load it
+    write_config(tmp_path / "run.cfg")
+    grid = ha.Grid.uniform(L, 257)
+    write_grid_csv(tmp_path / "f.csv", ha.GridFunction(grid, np.sin(grid.nodes / 2.0)))
+    script = (
+        "import sys, heatavg\n"
+        "assert 'scipy' not in sys.modules\n"
+        "from heatavg import cli\n"
+        "for command, *data in (['spectrum'], ['forward', 'f.csv'], ['invert', 'f.csv'],\n"
+        "                       ['figure1']):\n"
+        "    assert cli.main([command, 'run.cfg', *data, '--out-dir', 'out']) == 0, command\n"
+        "    assert 'scipy' not in sys.modules, command\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          cwd=tmp_path, env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -341,6 +353,16 @@ def test_too_few_output_times_is_input_error(small_setup, tmp_path, command, n_t
     assert "Traceback" not in proc.stderr and not out.exists()
 
 
+@pytest.mark.parametrize("n_nodes", [-5, 0, 2])
+def test_too_few_nodes_is_input_error(tmp_path, n_nodes):
+    cfg = write_config(tmp_path / "run.cfg", n_nodes=n_nodes)
+    out = tmp_path / "out"
+    proc = run_cli("spectrum", cfg, "--out-dir", out, cwd=tmp_path)
+    assert proc.returncode == 3
+    assert f"n_nodes must be at least 3, not {n_nodes}" in proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists()
+
+
 @pytest.mark.parametrize("old, new, cause", [
     (f"T = {T!r}", "T = nan", "T must be positive and finite"),
     (f"T = {T!r}", "T = inf", "T must be positive and finite"),
@@ -461,6 +483,27 @@ def test_oracle_time_average_bits_do_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout)
     assert digests[0] == digests[1]
+
+
+def test_invert_profile_bits_do_not_depend_on_blas_threads(tmp_path):
+    # the recovered profile and the report's truncation residual are one-vector
+    # syntheses, which must not round by thread as a BLAS product would; the
+    # field CSV stays a BLAS product and is left out.  OpenBLAS 0.3.31 splits a
+    # 1000 x 1025 product between threads, a 300 x 1025 one not.
+    cfg = write_config(tmp_path / "run.cfg", n_modes=1000, n_nodes=1025)
+    grid = ha.Grid.uniform(L, 1025)
+    write_grid_csv(tmp_path / "mu.csv", ha.GridFunction(grid, cusp_bump(grid.nodes, L)))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**child_env(), "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "heatavg", "invert", str(cfg),
+                               str(tmp_path / "mu.csv"), "--out-dir", str(out)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        runs.append([proc.stdout, proc.stderr, (out / "invert_initial.csv").read_bytes(),
+                     (out / "invert_report.txt").read_bytes()])
+    assert runs[0] == runs[1]
 
 
 def test_public_names_resolve_once():

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import fixed_quad
 
 import heatavg as ha
+from heatavg import forward
 
 T = 0.1
 
@@ -402,3 +403,91 @@ def test_overflow_raises_named_error_without_numpy_warning(call):
         with pytest.raises(ha.MultiplierOverflow, match="mode 1 ") as exc:
             _OVERFLOW_CALLS[call](es, src)
     assert exc.value.mode == 1
+
+
+def _reference_phis(z, order):
+    """Reference: `_phis` before its single Horner pass, one loop per order."""
+    small = np.abs(z) < 1.0
+    zs = z[small]
+    zd = np.where(small, 1.0, z)
+    phis = [np.exp(z)]
+    direct = np.expm1(zd) / zd
+    for k in range(1, order + 1):
+        if k > 1:
+            direct = (direct - 1.0 / math.factorial(k - 1)) / zd
+        series = np.zeros_like(zs)
+        for j in range(19, -1, -1):
+            series = series * zs + 1.0 / math.factorial(j + k)
+        phi = direct.copy()
+        phi[small] = series
+        phis.append(phi)
+    return phis
+
+
+def _reference_coeffs_at(alpha, src, es, times):
+    """Reference: `_coeffs_at` before row blocks, with whole (times, modes)
+    temporaries; the knot states come from the reference `_phis`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = alpha.coeffs * np.exp(-np.multiply.outer(times, es.lambdas))
+        if src is not None:
+            knots, a, b, states, _, _ = forward._knot_states(src, es)
+            i = np.clip(np.searchsorted(knots, times, side="right") - 1, 0, knots.size - 2)
+            w = (times - knots[i])[:, None]
+            phi = _reference_phis(-w * es.lambdas, 2)
+            coeffs = coeffs + (phi[0] * states[i] + w * phi[1] * a[i] + w**2 * phi[2] * b[i])
+    return coeffs
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_phis_match_reference_bit_for_bit():
+    one = np.array([1.0, -1.0])
+    z = np.concatenate([[0.0, -0.0, 0.5, -0.5, 1e-300, -1e-300], one, -one,
+                        np.nextafter(one, 0.0), np.nextafter(one, 2.0 * one),
+                        [-30.0, -700.0, -745.2, -1e6, -1e300]])
+    for got, want in zip(forward._phis(z, 3), _reference_phis(z, 3), strict=True):
+        _assert_same_bits(got, want)
+
+
+@pytest.fixture(scope="module")
+def bits_case(request):
+    # L = 2 pi and q = -1: lambda_1 < 0, lambda_2 = 0 and the rest positive, so
+    # the phi-functions take their series, their recurrence and both signs of z
+    grid = ha.Grid.uniform(2.0 * np.pi, 1025)
+    op = ha.OperatorSpec.constant(2.0 * np.pi, q=-1.0)
+    es = ha.build_eigensystem(op, grid, request.param)
+    rng = np.random.default_rng(request.param)
+    xi = ha.SpectralVector(es, rng.standard_normal(es.n_modes))
+    src = ha.SourceTerm.from_modal(es, np.linspace(0.0, T, 9),
+                                   rng.standard_normal((9, es.n_modes)))
+    return es, xi, src
+
+
+_BITS_WEIGHTS = (
+    ha.WeightSpec.average(T),
+    ha.WeightSpec.average(T, kappa=0.5, t1=0.3 * T),
+    ha.WeightSpec.from_pieces(0.6, ((0.0, 0.027, 1.5), (0.027, 0.055, 0.4), (0.08, T, 2.0)), T),
+)
+
+
+@pytest.mark.parametrize("bits_case", [7, 300, 1000], indirect=True, ids=lambda n: f"N{n}")
+@pytest.mark.parametrize("n_times", [1, 2, 129, 513])
+def test_forward_kernel_matches_unblocked_reference_bit_for_bit(bits_case, n_times, monkeypatch):
+    # with 300 and 1000 modes the row blocks end inside the source's pieces
+    es, xi, src = bits_case
+    times = np.linspace(0.0, T, n_times) if n_times > 1 else np.array([0.37 * T])
+    with monkeypatch.context() as patch:
+        patch.setattr(forward, "_phis", _reference_phis)
+        decay = _reference_coeffs_at(xi, None, es, times)
+        driven = _reference_coeffs_at(xi, src, es, times)
+        averages = [forward._source_average(src, es, ws) for ws in _BITS_WEIGHTS]
+    for s, want in ((None, decay), (src, driven)):
+        field = ha.solve_forward(xi, s, times=times, horizon=T)
+        _assert_same_bits(field.coeffs, want)
+        _assert_same_bits(field.values, want @ es.modes)
+        _assert_same_bits(field.slice_at(times[-1]).values, want[-1] @ es.modes)
+    _assert_same_bits(ha.evolve_homogeneous(xi, times[-1]).coeffs, decay[-1])
+    for ws, average in zip(_BITS_WEIGHTS, averages):
+        _assert_same_bits(ha.average_from_source(src, ws).coeffs, average)
