@@ -94,10 +94,6 @@ class GridFunction:
             raise ValueError("grid function values must be finite")
 
     @classmethod
-    def from_callable(cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
-
-    @classmethod
     def zeros(cls, grid: Grid) -> "GridFunction":
         return cls(grid, np.zeros(grid.n_nodes))
 
@@ -109,23 +105,25 @@ class GridFunction:
 class OperatorSpec:
     """Elliptic operator (a(x) u')' + a0(x) u on (0, length).
 
-    ``kind`` selects the eigensolve path: "constant" stores a constant
-    diffusion and a constant zero-order term ``-q`` and admits closed-form
-    eigenpairs; "tabulated" stores coefficient callables that are sampled on
-    the grid at build time.
+    Give exactly one coefficient pair; the pair given selects the eigensolve
+    path.  A constant diffusion and a constant zero-order term ``-q`` admit
+    closed-form eigenpairs; coefficient callables ``a`` and ``a0`` are
+    sampled on the grid at build time.
     """
 
     length: float
-    kind: str
     diffusion: float | None = None
     q: float | None = None
     a: Callable[[np.ndarray], np.ndarray] | None = None
     a0: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        given = [value is not None for value in (self.diffusion, self.q, self.a, self.a0)]
+        if given not in ([True, True, False, False], [False, False, True, True]):
+            raise ValueError("give exactly one of the pairs (diffusion, q) and (a, a0)")
         if self.length <= 0.0:
             raise ValueError("interval length must be positive")
-        if self.kind == "constant" and self.diffusion <= 0.0:
+        if self.a is None and self.diffusion <= 0.0:
             raise NonElliptic("constant diffusion must be strictly positive")
         for name, value in (("interval length", self.length), ("q", self.q),
                             ("diffusion", self.diffusion)):
@@ -134,22 +132,24 @@ class OperatorSpec:
 
     @classmethod
     def constant(cls, length: float, q: float = 0.0, diffusion: float = 1.0) -> "OperatorSpec":
-        return cls(length=float(length), kind="constant", diffusion=float(diffusion), q=float(q))
+        return cls(length=float(length), diffusion=float(diffusion), q=float(q))
 
     @classmethod
     def from_callables(cls, length: float, a, a0) -> "OperatorSpec":
-        return cls(length=float(length), kind="tabulated", a=a, a0=a0)
+        return cls(length=float(length), a=a, a0=a0)
 
     @classmethod
     def from_table(cls, length: float, x, a_values, a0_values) -> "OperatorSpec":
         """Coefficients given as samples; linear interpolation in between."""
-        xs = np.asarray(x, dtype=float)
-        av = np.asarray(a_values, dtype=float)
-        a0v = np.asarray(a0_values, dtype=float)
-        if xs.ndim != 1 or xs.size < 2 or not np.all(np.diff(xs) > 0.0):
-            raise ValueError("coefficient abscissae must be increasing")
+        xs, av, a0v = (np.asarray(v, dtype=float) for v in (x, a_values, a0_values))
+        if xs.ndim != 1 or xs.size < 2:
+            raise ValueError("a coefficient table needs at least two rows")
         if av.shape != xs.shape or a0v.shape != xs.shape:
             raise ValueError("coefficient tables must match the abscissae")
+        if not all(np.all(np.isfinite(v)) for v in (xs, av, a0v)):
+            raise ValueError("coefficient table entries must be finite")
+        if not np.all(np.diff(xs) > 0.0):
+            raise ValueError("coefficient abscissae must be increasing")
         return cls.from_callables(
             length,
             lambda t, _x=xs, _v=av: np.interp(t, _x, _v),
@@ -161,7 +161,7 @@ class OperatorSpec:
 
         Raises NonElliptic when the sampled diffusion is not strictly positive.
         """
-        if self.kind == "constant":
+        if self.a is None:
             a_mid = np.full(grid.n_nodes - 1, self.diffusion)
             a0_nodes = np.full(grid.n_nodes, -self.q)
         else:
@@ -184,16 +184,23 @@ class EigenSystem:
     ``lambdas`` are strictly increasing; ``modes[k]`` is the k-th
     eigenfunction sampled on the grid, orthonormal in the trapezoid inner
     product and sign-fixed so its first interior value is positive.
-    ``first_positive`` is the index of the first strictly positive
-    eigenvalue (``n_modes`` when there is none within the truncation).
+    ``n_modes`` and ``first_positive`` derive from ``lambdas``.
     """
 
     op: OperatorSpec
     grid: Grid
-    n_modes: int
     lambdas: np.ndarray
     modes: np.ndarray
-    first_positive: int
+
+    @property
+    def n_modes(self) -> int:
+        return self.lambdas.size
+
+    @property
+    def first_positive(self) -> int:
+        """Index of the first strictly positive eigenvalue (``n_modes`` when
+        there is none within the truncation)."""
+        return int(np.searchsorted(self.lambdas, 0.0, side="right"))
 
 
 @dataclass(frozen=True)
@@ -227,7 +234,7 @@ def build_eigensystem(op: OperatorSpec, grid: Grid, n_modes: int) -> EigenSystem
             f"{n_modes} modes requested but the grid resolves only {grid.n_nodes - 2}"
         )
 
-    if op.kind == "constant":
+    if op.a is None:
         k = np.arange(1, n_modes + 1)
         freq = k * np.pi / op.length
         lambdas = op.diffusion * freq**2 + op.q
@@ -251,15 +258,7 @@ def build_eigensystem(op: OperatorSpec, grid: Grid, n_modes: int) -> EigenSystem
 
     if not np.all(np.diff(lambdas) > 0.0):
         raise ValueError("eigenvalues are not distinct in double precision")
-    first_positive = int(np.searchsorted(lambdas, 0.0, side="right"))
-    return EigenSystem(
-        op=op,
-        grid=grid,
-        n_modes=int(n_modes),
-        lambdas=_frozen(lambdas),
-        modes=_frozen(modes),
-        first_positive=first_positive,
-    )
+    return EigenSystem(op, grid, _frozen(lambdas), _frozen(modes))
 
 
 def project(f: GridFunction, es: EigenSystem) -> SpectralVector:

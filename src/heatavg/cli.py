@@ -133,8 +133,8 @@ def _cmd_forward(cfg: RunConfig, args) -> int:
     es = build_eigensystem(cfg.operator, grid, cfg.n_modes)
     xi = project(read_grid_csv(args.xi_csv, grid), es)
     src = cfg.source_from_csv(args.phi, grid, es=es) if args.phi else None
-    times = np.linspace(0.0, cfg.horizon, cfg.n_times)
-    field = solve_forward(xi, src, times=times, horizon=cfg.horizon)
+    times = np.linspace(0.0, cfg.weight.horizon, cfg.n_times)
+    field = solve_forward(xi, src, times=times, horizon=cfg.weight.horizon)
     write_field_csv(_out_dir(args) / "forward.csv", field)
     print(f"forward.csv written: {cfg.n_times} times x {grid.n_nodes} nodes")
     return EXIT_OK
@@ -176,7 +176,7 @@ def _cmd_invert(cfg: RunConfig, args) -> int:
     mu = read_grid_csv(args.mu_csv, grid)
     out = _out_dir(args)
     src = cfg.source_from_csv(args.phi, grid, es=es) if args.phi else None
-    times = np.linspace(0.0, cfg.horizon, cfg.n_times)
+    times = np.linspace(0.0, cfg.weight.horizon, cfg.n_times)
     field, rep = solve_inverse(mu, src, cfg.weight, es, times=times)
     write_field_csv(out / "invert_field.csv", field)
     write_grid_csv(out / "invert_initial.csv", synthesize(rep.xi, es))
@@ -192,12 +192,12 @@ def _cmd_oracle(cfg: RunConfig, args) -> int:
     src = cfg.source_from_csv(args.phi, grid) if args.phi else None
     breakpoints = tuple(float(b) for b in cfg.weight.breakpoints())
     stepper = StepperConfig(n_nodes=cfg.n_nodes, n_steps=cfg.n_steps, breakpoints=breakpoints)
-    field = step_evolution(cfg.operator, xi, src, cfg.horizon, stepper)
+    field = step_evolution(cfg.operator, xi, src, cfg.weight.horizon, stepper)
     averaged = time_average(field, cfg.weight)
     out = _out_dir(args)
 
     # thin the stored evolution to roughly n_times rows to keep files sane
-    idx = np.unique(np.searchsorted(field.times, np.linspace(0.0, cfg.horizon, cfg.n_times)))
+    idx = np.unique(np.searchsorted(field.times, np.linspace(0.0, cfg.weight.horizon, cfg.n_times)))
     idx = np.clip(idx, 0, field.times.size - 1)
     thinned = type(field)(grid=field.grid, times=field.times[idx], values=field.values[idx])
     write_field_csv(out / "oracle_field.csv", thinned)

@@ -104,26 +104,26 @@ def _write_csv(path, header: str, keys, blocks) -> None:
 class RunConfig:
     operator: OperatorSpec
     weight: WeightSpec
-    horizon: float
-    n_modes: int = 300
-    n_nodes: int = 1025
-    n_steps: int = 2048
-    n_times: int = 129
-    onset: float = 0.0
-    delta: float = 0.1
-    frequencies: tuple[float, ...] = (1.0, 3.0)
-    fig_n_modes: int | None = None
+    n_modes: int
+    n_nodes: int
+    n_steps: int
+    n_times: int
+    onset: float
+    delta: float
+    frequencies: tuple[float, ...]
+    fig_n_modes: int | None
 
     def grid(self) -> Grid:
         return Grid.uniform(self.operator.length, self.n_nodes)
 
     def source_from_csv(self, path, grid: Grid, es=None) -> SourceTerm:
         times, values = read_space_time_csv(path, grid)
-        if abs(times[0]) > 1e-12 * self.horizon or abs(times[-1] - self.horizon) > 1e-12 * self.horizon:
-            raise ValueError(f"{path}: source tabulation must cover [0, {self.horizon:g}]")
+        horizon = self.weight.horizon
+        if abs(times[0]) > 1e-12 * horizon or abs(times[-1] - horizon) > 1e-12 * horizon:
+            raise ValueError(f"{path}: source tabulation must cover [0, {horizon:g}]")
         t = np.array(times)
         t[0] = 0.0
-        t[-1] = self.horizon
+        t[-1] = horizon
         return SourceTerm.from_grid_history(grid, t, values, onset=self.onset, es=es)
 
 
@@ -140,16 +140,17 @@ def load_config(path) -> RunConfig:
     length = op_sec.getfloat("L")
     if "coeff_table" in op_sec:
         table = _resolve(path, op_sec["coeff_table"])
+        OperatorSpec.constant(length)  # checks L first, so its errors do not name the table
         lines = table.read_text().splitlines()
-        if not any(line.split("#", 1)[0].strip() for line in lines):
-            raise ValueError(f"{table}: coefficient table has no data rows")
-        try:
+        try:  # loadtxt's and from_table's texts do not name the file
+            if not any(line.split("#", 1)[0].strip() for line in lines):
+                raise ValueError("coefficient table has no data rows")
             data = np.loadtxt(lines, ndmin=2)
-        except ValueError as exc:  # loadtxt's text names the data row, not the file
+            if data.shape[1] != 3:
+                raise ValueError("expected columns 'x a a0'")
+            operator = OperatorSpec.from_table(length, *data.T)
+        except ValueError as exc:
             raise ValueError(f"{table}: {exc}") from None
-        if data.shape[1] != 3:
-            raise ValueError(f"{table}: expected columns 'x a a0'")
-        operator = OperatorSpec.from_table(length, data[:, 0], data[:, 1], data[:, 2])
     else:
         operator = OperatorSpec.constant(length, q=op_sec.getfloat("q", 0.0),
                                          diffusion=op_sec.getfloat("diffusion", 1.0))
@@ -173,18 +174,22 @@ def load_config(path) -> RunConfig:
     frequencies = tuple(
         float(f) for f in str(fig.get("frequencies", "1, 3")).replace(",", " ").split()
     )
-    fig_n = fig.get("N") if fig else None
+    delta = float(fig.get("delta", 0.1))
+    if not all(map(math.isfinite, frequencies)):
+        raise ValueError(f"{path}: [figure1] frequencies must be finite")
+    if not math.isfinite(delta):
+        raise ValueError(f"{path}: [figure1] delta must be finite, not {delta:g}")
+    fig_n = fig.get("N")
 
     return RunConfig(
         operator=operator,
         weight=weight,
-        horizon=horizon,
         n_modes=run.getint("N", 300),
         n_nodes=n_nodes,
         n_steps=run.getint("n_steps", 2048),
         n_times=n_times,
         onset=run.getfloat("onset", 0.0),
-        delta=float(fig.get("delta", 0.1)) if fig else 0.1,
+        delta=delta,
         frequencies=frequencies,
         fig_n_modes=int(fig_n) if fig_n is not None else None,
     )

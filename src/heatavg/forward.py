@@ -82,13 +82,23 @@ def _phis(z: np.ndarray, order: int) -> list[np.ndarray]:
     return phis
 
 
+def _freeze_history(record, noun: str) -> None:
+    """Freeze ``times``, ``values`` and ``coeffs``; check one grid row per time."""
+    for name in ("times", "values", "coeffs"):
+        if getattr(record, name) is not None:
+            object.__setattr__(record, name, _frozen(getattr(record, name)))
+    if record.values.shape != (record.times.size, record.grid.n_nodes):
+        raise ValueError(f"{noun} values must be (n_times, n_nodes)")
+
+
 @dataclass(frozen=True)
 class SourceTerm:
     """Source term tabulated on time instants, piecewise linear in between.
 
     Grid samples (``values``) are the primary representation and are what
-    the finite-difference oracle consumes; spectral coefficients are derived
-    on demand (or stored when the term was built from an eigensystem).
+    the finite-difference oracle consumes; given ``es``, the term stores its
+    coefficient rows in that basis (projected from the samples unless
+    ``coeffs`` is passed), and other bases project on demand.
     ``onset`` marks the time from which the source is treated as
     differentiable in time; it must lie strictly before the horizon whenever
     the measurement weights the terminal slice.
@@ -102,24 +112,19 @@ class SourceTerm:
     coeffs: np.ndarray | None = None
 
     def __post_init__(self):
-        times = _frozen(self.times)
-        values = _frozen(self.values)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.ndim != 1 or times.size < 2:
+        _freeze_history(self, "source")
+        if self.times.ndim != 1 or self.times.size < 2:
             raise ValueError("need at least two time instants")
-        if not np.all(np.diff(times) > 0.0):
+        if not np.all(np.diff(self.times) > 0.0):
             raise ValueError("time instants must be strictly increasing")
-        if times[0] != 0.0:
+        if self.times[0] != 0.0:
             raise ValueError("source tabulation must start at t = 0")
-        if values.shape != (times.size, self.grid.n_nodes):
-            raise ValueError("source values must be (n_times, n_nodes)")
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("source values must be finite")
         if not 0.0 <= self.onset <= self.horizon:
             raise ValueError("onset must lie in [0, horizon]")
-        if self.coeffs is not None:
-            object.__setattr__(self, "coeffs", _frozen(self.coeffs))
+        if self.es is not None and self.coeffs is None:
+            object.__setattr__(self, "coeffs", _frozen(self.coefficients(self.es)))
 
     @property
     def horizon(self) -> float:
@@ -135,20 +140,14 @@ class SourceTerm:
     @classmethod
     def from_grid_history(cls, grid: Grid, times, values, onset: float = 0.0,
                           es: EigenSystem | None = None) -> "SourceTerm":
-        src = cls(grid=grid, times=np.asarray(times, dtype=float),
-                  values=np.asarray(values, dtype=float), onset=onset, es=es)
-        if es is not None:
-            object.__setattr__(src, "coeffs", _frozen(src.coefficients(es)))
-        return src
+        return cls(grid=grid, times=times, values=values, onset=onset, es=es)
 
     @classmethod
     def from_modal(cls, es: EigenSystem, times, coeffs, onset: float = 0.0) -> "SourceTerm":
         """Build from per-instant coefficient rows in the given eigenbasis."""
         coeffs = np.asarray(coeffs, dtype=float)
-        values = coeffs @ es.modes
-        src = cls(grid=es.grid, times=np.asarray(times, dtype=float), values=values,
-                  onset=onset, es=es, coeffs=coeffs)
-        return src
+        return cls(grid=es.grid, times=times, values=coeffs @ es.modes, onset=onset, es=es,
+                   coeffs=coeffs)
 
     def coefficients(self, es: EigenSystem) -> np.ndarray:
         """Per-instant expansion of the source in ``es``; rows follow ``times``."""
@@ -202,20 +201,12 @@ class SolutionField:
     grid: Grid
     times: np.ndarray
     values: np.ndarray
-    es: EigenSystem | None = None
     coeffs: np.ndarray | None = None
     alpha: SpectralVector | None = None
     source: SourceTerm | None = None
 
     def __post_init__(self):
-        times = _frozen(self.times)
-        values = _frozen(self.values)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if values.shape != (times.size, self.grid.n_nodes):
-            raise ValueError("field values must be (n_times, n_nodes)")
-        if self.coeffs is not None:
-            object.__setattr__(self, "coeffs", _frozen(self.coeffs))
+        _freeze_history(self, "field")
 
     @property
     def horizon(self) -> float:
@@ -224,9 +215,9 @@ class SolutionField:
     def slice_at(self, t: float) -> GridFunction:
         """Spatial slice at time t; exact for spectral fields, interpolated
         between stored rows otherwise."""
-        if self.es is not None and self.alpha is not None:
-            coeffs = _coeffs_at(self.alpha, self.source, self.es, float(t), self.horizon)
-            return GridFunction(self.grid, coeffs[0] @ self.es.modes)
+        if self.alpha is not None:
+            coeffs = _coeffs_at(self.alpha, self.source, self.alpha.es, float(t), self.horizon)
+            return GridFunction(self.grid, coeffs[0] @ self.alpha.es.modes)
         t = float(t)
         if not self.times[0] <= t <= self.times[-1]:
             raise TimeOutOfRange(f"t = {t:g} outside [{self.times[0]:g}, {self.times[-1]:g}]")
@@ -302,7 +293,7 @@ def _source_average(src: SourceTerm, es: EigenSystem, ws: WeightSpec) -> np.ndar
     if abs(src.horizon - ws.horizon) > 1e-12 * ws.horizon:
         raise ValueError("source tabulation does not span the weight horizon")
     knots, a, b, states, h, phi = _knot_states(src, es, ws.breakpoints())
-    v = np.asarray(ws.value_at(0.5 * (knots[:-1] + knots[1:])))
+    v = ws.value_at(0.5 * (knots[:-1] + knots[1:]))
     out = v @ (h * phi[1] * states[:-1] + h**2 * phi[2] * a + h**3 * phi[3] * b)
     if ws.kappa != 0.0:
         out = out + ws.kappa * states[-1]
@@ -355,8 +346,8 @@ def solve_forward(xi: SpectralVector, src: SourceTerm | None = None,
     times = np.asarray(times, dtype=float)
     coeffs = _coeffs_at(xi, src, es, times, horizon)
     values = coeffs @ es.modes
-    return SolutionField(grid=es.grid, times=times, values=values, es=es,
-                         coeffs=coeffs, alpha=xi, source=src)
+    return SolutionField(grid=es.grid, times=times, values=values, coeffs=coeffs, alpha=xi,
+                         source=src)
 
 
 def average_from_initial(xi: SpectralVector, ws: WeightSpec) -> SpectralVector:
@@ -384,9 +375,9 @@ def weighted_average(field: SolutionField, ws: WeightSpec) -> SpectralVector:
     """Apply the averaged measurement to a spectral field, exactly: the sum
     of `average_from_initial` and `average_from_source`, which raises
     `OnsetInvalid` for a source whose onset is not before the horizon."""
-    if field.es is None or field.alpha is None:
+    if field.alpha is None:
         raise ValueError("weighted_average needs a spectrally built field")
     out = average_from_initial(field.alpha, ws).coeffs
     if field.source is not None:
-        out = out + average_from_source(field.source, ws, field.es).coeffs
-    return SpectralVector(field.es, out)
+        out = out + average_from_source(field.source, ws, field.alpha.es).coeffs
+    return SpectralVector(field.alpha.es, out)

@@ -37,10 +37,13 @@ class InverseReport:
     minus the data, ``||alpha * multiplier + source average - gamma||`` over
     the retained modes (NaN for an inadmissible weight); truncation is
     reported separately, as ``truncation_residual``, the L2 norm of the part
-    of the data the retained modes cannot represent; ``amplification`` is
-    the largest reciprocal multiplier that was used; ``h2_tail_fraction``
-    measures how much of the curvature-norm sum comes from the last decade
-    of modes (large values mean the data's second-derivative norm has not
+    of the data the retained modes cannot represent.  Near 1e-14 both are
+    rounding noise, not a measured error: for data in the span of the modes
+    the truncation residual reads 5e-15 to 2e-14, and its trailing digits
+    move with the summation order.  ``amplification`` is the largest
+    reciprocal multiplier that was used; ``h2_tail_fraction`` measures how
+    much of the curvature-norm sum comes from the last decade of modes
+    (large values mean the data's second-derivative norm has not
     converged and the stability guarantee is shaky).
     """
 
@@ -48,7 +51,6 @@ class InverseReport:
     residual_mu: float
     amplification: float
     stability: StabilityConstants | None
-    h2_norm_mu: float
     truncation_residual: float
     h2_tail_fraction: float
 
@@ -109,7 +111,7 @@ def _invert(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec, es: EigenS
 
     back = synthesize(SpectralVector(es, gamma), es)
     truncation = GridFunction(mu.grid, mu.values - back.values).norm_l2()
-    h2_value, tail = _h2_surrogate(gamma, es.lambdas)
+    _, tail = _h2_surrogate(gamma, es.lambdas)
     if tail > 0.01:
         warnings.warn(
             "curvature-norm partial sums have not converged "
@@ -123,7 +125,6 @@ def _invert(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec, es: EigenS
         residual_mu=residual,
         amplification=amplification,
         stability=stability,
-        h2_norm_mu=h2_value,
         truncation_residual=truncation,
         h2_tail_fraction=tail,
     )

@@ -144,7 +144,7 @@ def time_average(field: SolutionField, ws) -> GridFunction:
         if np.min(np.abs(times - b)) > 1e-9 * horizon:
             raise BreakpointUnresolved(f"time grid misses weight breakpoint t = {b:g}")
 
-    w_mid = np.asarray(ws.value_at(0.5 * (times[:-1] + times[1:])))
+    w_mid = ws.value_at(0.5 * (times[:-1] + times[1:]))
     weights = _trapezoid_in_time(times, w_mid)
     weights[-1] += ws.kappa
     return GridFunction(field.grid, np.einsum("i,ij->j", weights, field.values))

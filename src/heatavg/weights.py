@@ -50,8 +50,11 @@ class MultiplierOverflow(ValueError):
 class WeightReport:
     """Outcome of the admissibility check; violations name the failed clause."""
 
-    ok: bool
     violations: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -197,8 +200,6 @@ class WeightSpec:
         if self.pieces:
             s, e, v = self.pieces[-1]
             out = np.where(t == e, v, out)
-        if out.ndim == 0:
-            return float(out)
         return out
 
     def breakpoints(self) -> np.ndarray:
@@ -222,7 +223,7 @@ class WeightSpec:
         if (self.t1 is None or not 0.0 < self.t1 <= self.horizon * (1 + 1e-12)
                 or self.ess_inf(self.t1) <= 0.0):
             violations.append("no T1 with ess inf > 0")
-        return WeightReport(ok=not violations, violations=tuple(violations))
+        return WeightReport(tuple(violations))
 
     def multiplier(self, lam):
         """Closed-form factor by which mode(s) with eigenvalue ``lam`` are

@@ -433,7 +433,14 @@ def test_unparsable_weight_table_is_input_error(tmp_path):
     ("0.0 1.0 0.0\n3.0 abc 0.0\n6.3 1.0 0.0\n", "coeffs.txt: could not convert string 'abc'"),
     ("", "coeffs.txt: coefficient table has no data rows"),
     ("# x a a0\n\n", "coeffs.txt: coefficient table has no data rows"),
-], ids=["unparsable", "empty", "comments_only"])
+    ("0.0 1.0 0.0\n", "coeffs.txt: a coefficient table needs at least two rows"),
+    ("0.0 1.0 0.0\n3.0 1.0 0.0\n2.0 1.0 0.0\n",
+     "coeffs.txt: coefficient abscissae must be increasing"),
+    ("0.0 1.0 0.0\n3.0 nan 0.0\n6.3 1.0 0.0\n",
+     "coeffs.txt: coefficient table entries must be finite"),
+    ("0.0 1.0 0.0\n3.0 1.0 0.0\ninf 1.0 0.0\n",
+     "coeffs.txt: coefficient table entries must be finite"),
+], ids=["unparsable", "empty", "comments_only", "one_row", "not_increasing", "a_nan", "x_inf"])
 def test_bad_coefficient_table_is_input_error(tmp_path, table, cause):
     (tmp_path / "coeffs.txt").write_text(table)
     cfg = write_config(tmp_path / "run.cfg")
@@ -524,3 +531,109 @@ def test_every_public_error_has_an_exit_code():
     for exc in errors:
         assert (exc in (ha.BoundViolated, ha.IllPosedWeight)
                 or issubclass(exc, cli._INPUT_ERRORS)), exc
+
+
+@pytest.mark.parametrize("figure1, cause", [
+    ("delta = inf", "[figure1] delta must be finite, not inf"),
+    ("delta = nan", "[figure1] delta must be finite, not nan"),
+    ("frequencies = 1, inf", "[figure1] frequencies must be finite"),
+], ids=["delta_inf", "delta_nan", "frequency_inf"])
+def test_non_finite_figure1_value_is_input_error(tmp_path, figure1, cause):
+    cfg = write_config(tmp_path / "run.cfg", figure1=figure1)
+    out = tmp_path / "out"
+    proc = run_cli("figure1", cfg, "--out-dir", out, cwd=tmp_path)
+    assert proc.returncode == 3
+    assert f"input error: {cfg}: {cause}" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_spectrum_of_a_coefficient_table(tmp_path):
+    rows = np.array([[0.0, 1.0, 0.0], [3.0, 1.5, -0.5], [L, 1.0, 0.0]])
+    (tmp_path / "coeffs.txt").write_text(
+        "".join(f"{x!r} {a!r} {a0!r}\n" for x, a, a0 in rows.tolist()))
+    cfg = write_config(tmp_path / "run.cfg")
+    cfg.write_text(cfg.read_text().replace("q = 0.0", "coeff_table = coeffs.txt"))
+    out = tmp_path / "out"
+    proc = run_cli("spectrum", cfg, "--out-dir", out, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    op = ha.OperatorSpec.from_table(L, *rows.T)
+    es = ha.build_eigensystem(op, ha.Grid.uniform(L, 257), 60)
+    lines = (out / "spectrum.csv").read_text().splitlines()[1:]
+    assert np.array_equal([float(line.split(",")[1]) for line in lines], es.lambdas)
+
+
+def _rows(text):
+    return text.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("command, name, change, cause", [
+    ("spectrum", "run.cfg", lambda text: None, "cannot read config file"),
+    ("spectrum", "run.cfg", lambda text: text.replace(f"L = {L!r}", ""),
+     "[operator] section with L is required"),
+    ("spectrum", "run.cfg", lambda text: text.replace(f"T = {T!r}", ""),
+     "[run] section with T is required"),
+    ("spectrum", "run.cfg", lambda text: text.replace("case = average", "case = quasi"),
+     "the quasi weight case needs 'epsilon'"),
+    ("spectrum", "run.cfg",
+     lambda text: text.replace("case = average", "case = quasi\nepsilon = 0.0"),
+     "epsilon must lie in (0, T]"),
+    ("spectrum", "run.cfg",
+     lambda text: text.replace("case = average", "case = quasi\nepsilon = 0.2"),
+     "epsilon must lie in (0, T]"),
+    ("spectrum", "run.cfg", lambda text: text.replace("case = average", "case = table"),
+     "the table weight case needs 'table'"),
+    ("spectrum", "run.cfg", lambda text: text.replace("case = average", "case = sawtooth"),
+     "unknown weight case 'sawtooth'"),
+    ("spectrum", "run.cfg",
+     lambda text: text.replace("case = average", "case = table\ntable = missing.txt"),
+     "referenced file does not exist"),
+    ("forward", "xi.csv", lambda text: text.replace("x,value", "x,y", 1),
+     "xi.csv: expected header 'x,value'"),
+    ("forward", "xi.csv", lambda text: text.replace("\n0,", "\n0.5,", 1),
+     "xi.csv: abscissae do not match the configured grid"),
+    ("forward", "phi.csv", lambda text: "x,t,phi\n" + "".join(
+        row.rsplit(",", 1)[0] + "\n" for row in _rows(text)[1:]),
+     "phi.csv: expected three columns"),
+    ("forward", "phi.csv", lambda text: "".join(_rows(text)[:-1]),
+     "phi.csv: row count is not a multiple of the grid size"),
+    ("forward", "phi.csv", lambda text: "".join(
+        _rows(text)[:1] + _rows(text)[258:515] + _rows(text)[1:258] + _rows(text)[515:]),
+     "phi.csv: time blocks must be strictly increasing"),
+    ("oracle", "phi.csv", lambda text: "".join(_rows(text)[:-257]),
+     f"phi.csv: source tabulation must cover [0, {T:g}]"),
+], ids=["no_config", "no_L", "no_T", "quasi_no_epsilon", "epsilon_zero", "epsilon_beyond_T",
+        "table_case_no_table", "unknown_case", "missing_table_file", "grid_csv_header",
+        "grid_csv_abscissae", "source_two_columns", "source_partial_block",
+        "source_times_decrease", "source_short_of_T"])
+def test_input_error_names_its_cause(small_setup, tmp_path, command, name, change, cause):
+    # ``change`` rewrites one input file; None deletes it
+    cfg, grid, *_ = small_setup
+    write_grid_csv(tmp_path / "xi.csv", ha.GridFunction(grid, np.sin(grid.nodes / 2.0)))
+    times = np.linspace(0.0, T, 3)
+    write_field_csv(tmp_path / "phi.csv",
+                    ha.SolutionField(grid=grid, times=times,
+                                     values=np.outer(1.0 + times, np.sin(grid.nodes / 2.0))),
+                    column="phi")
+    text = change((tmp_path / name).read_text())
+    if text is None:
+        (tmp_path / name).unlink()
+    else:
+        (tmp_path / name).write_text(text)
+    data = [] if command == "spectrum" else [tmp_path / "xi.csv", "--phi", tmp_path / "phi.csv"]
+    out = tmp_path / "out"
+    proc = run_cli(command, cfg, *data, "--out-dir", out, cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert cause in proc.stderr and proc.stderr.startswith("input error: ")
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_bad_length_beside_a_coefficient_table_names_the_length(tmp_path):
+    (tmp_path / "coeffs.txt").write_text("0.0 1.0 0.0\n6.3 1.0 0.0\n")
+    cfg = write_config(tmp_path / "run.cfg")
+    cfg.write_text(cfg.read_text().replace("q = 0.0", "coeff_table = coeffs.txt")
+                   .replace(f"L = {L!r}", "L = nan"))
+    proc = run_cli("spectrum", cfg, "--out-dir", tmp_path / "out", cwd=tmp_path)
+    assert proc.returncode == 3
+    assert "input error: interval length must be finite, not nan" in proc.stderr
