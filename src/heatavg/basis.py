@@ -159,7 +159,9 @@ class OperatorSpec:
     def sample(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         """Return (diffusion at midpoints, zero-order term at nodes).
 
-        Raises NonElliptic when the sampled diffusion is not strictly positive.
+        Raises NonElliptic when the sampled diffusion is not strictly positive,
+        and names it when 2 max(a) / h^2 + max|a0|, a bound on every entry of
+        the difference matrix, overflows double precision.
         """
         if self.a is None:
             a_mid = np.full(grid.n_nodes - 1, self.diffusion)
@@ -174,6 +176,9 @@ class OperatorSpec:
         delta = float(np.min(a_mid))
         if delta <= 0.0:
             raise NonElliptic(f"diffusion coefficient reaches {delta:g} <= 0 on the grid")
+        peak, name = float(np.max(a_mid)), "diffusion" if self.a is None else "a"
+        if not math.isfinite(2.0 * peak / grid.h**2 + float(np.max(np.abs(a0_nodes)))):
+            raise ValueError(f"{name} = {peak:g} is too large for double precision on this grid")
         return a_mid, a0_nodes
 
 
@@ -237,7 +242,10 @@ def build_eigensystem(op: OperatorSpec, grid: Grid, n_modes: int) -> EigenSystem
     if op.a is None:
         k = np.arange(1, n_modes + 1)
         freq = k * np.pi / op.length
-        lambdas = op.diffusion * freq**2 + op.q
+        with np.errstate(over="ignore"):  # named below; the last eigenvalue is the largest
+            lambdas = op.diffusion * freq**2 + op.q
+        if not math.isfinite(lambdas[-1]):
+            raise ValueError(f"diffusion = {op.diffusion:g} is too large for double precision")
         modes = np.sqrt(2.0 / op.length) * np.sin(np.outer(freq, grid.nodes))
         modes[:, 0] = 0.0
         modes[:, -1] = 0.0

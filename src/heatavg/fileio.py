@@ -161,12 +161,8 @@ def load_config(path) -> RunConfig:
     horizon = run.getfloat("T")
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"{path}: T must be positive and finite")
-    n_times = run.getint("n_times", 129)
-    if n_times < 2:
-        raise ValueError(f"{path}: n_times must be at least 2, not {n_times}")
-    n_nodes = run.getint("n_nodes", 1025)
-    if n_nodes < 3:
-        raise ValueError(f"{path}: n_nodes must be at least 3, not {n_nodes}")
+    n_times = _int_key(path, run, "n_times", 129, minimum=2)
+    n_nodes = _int_key(path, run, "n_nodes", 1025, minimum=3)
 
     weight = _load_weight(parser, path, horizon)
 
@@ -179,20 +175,35 @@ def load_config(path) -> RunConfig:
         raise ValueError(f"{path}: [figure1] frequencies must be finite")
     if not math.isfinite(delta):
         raise ValueError(f"{path}: [figure1] delta must be finite, not {delta:g}")
-    fig_n = fig.get("N")
 
     return RunConfig(
         operator=operator,
         weight=weight,
-        n_modes=run.getint("N", 300),
+        n_modes=_int_key(path, run, "N", 300),
         n_nodes=n_nodes,
-        n_steps=run.getint("n_steps", 2048),
+        n_steps=_int_key(path, run, "n_steps", 2048, minimum=2),
         n_times=n_times,
         onset=run.getfloat("onset", 0.0),
         delta=delta,
         frequencies=frequencies,
-        fig_n_modes=int(fig_n) if fig_n is not None else None,
+        fig_n_modes=_int_key(path, fig, "N", None, where="[figure1] "),
     )
+
+
+def _int_key(path: Path, sec, key: str, default, minimum: int | None = None,
+             where: str = "") -> int | None:
+    """The integer under ``key``, else ``default``; a non-integer or a value
+    below ``minimum`` is named with the file (mode counts: `build_eigensystem`)."""
+    raw = sec.get(key)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{path}: {where}{key} must be an integer, not '{raw}'") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{path}: {where}{key} must be at least {minimum}, not {value}")
+    return value
 
 
 def _load_weight(parser: configparser.ConfigParser, path: Path, horizon: float) -> WeightSpec:

@@ -24,7 +24,7 @@ verification of either is the finite-difference oracle's job.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -83,10 +83,9 @@ def _phis(z: np.ndarray, order: int) -> list[np.ndarray]:
 
 
 def _freeze_history(record, noun: str) -> None:
-    """Freeze ``times``, ``values`` and ``coeffs``; check one grid row per time."""
-    for name in ("times", "values", "coeffs"):
-        if getattr(record, name) is not None:
-            object.__setattr__(record, name, _frozen(getattr(record, name)))
+    """Freeze ``times`` and ``values``; check one grid row per time."""
+    for name in ("times", "values"):
+        object.__setattr__(record, name, _frozen(getattr(record, name)))
     if record.values.shape != (record.times.size, record.grid.n_nodes):
         raise ValueError(f"{noun} values must be (n_times, n_nodes)")
 
@@ -95,10 +94,9 @@ def _freeze_history(record, noun: str) -> None:
 class SourceTerm:
     """Source term tabulated on time instants, piecewise linear in between.
 
-    Grid samples (``values``) are the primary representation and are what
-    the finite-difference oracle consumes; given ``es``, the term stores its
-    coefficient rows in that basis (projected from the samples unless
-    ``coeffs`` is passed), and other bases project on demand.
+    Grid samples (``values``) are the one stored history and what the
+    finite-difference oracle consumes; given ``es``, the term projects them
+    once into ``coeffs``, its coefficient rows in that basis.
     ``onset`` marks the time from which the source is treated as
     differentiable in time; it must lie strictly before the horizon whenever
     the measurement weights the terminal slice.
@@ -109,7 +107,7 @@ class SourceTerm:
     values: np.ndarray
     onset: float = 0.0
     es: EigenSystem | None = None
-    coeffs: np.ndarray | None = None
+    coeffs: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _freeze_history(self, "source")
@@ -123,7 +121,7 @@ class SourceTerm:
             raise ValueError("source values must be finite")
         if not 0.0 <= self.onset <= self.horizon:
             raise ValueError("onset must lie in [0, horizon]")
-        if self.es is not None and self.coeffs is None:
+        if self.es is not None:
             object.__setattr__(self, "coeffs", _frozen(self.coefficients(self.es)))
 
     @property
@@ -144,10 +142,10 @@ class SourceTerm:
 
     @classmethod
     def from_modal(cls, es: EigenSystem, times, coeffs, onset: float = 0.0) -> "SourceTerm":
-        """Build from per-instant coefficient rows in the given eigenbasis."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        return cls(grid=es.grid, times=times, values=coeffs @ es.modes, onset=onset, es=es,
-                   coeffs=coeffs)
+        """Build from per-instant coefficient rows in the given eigenbasis: the
+        rows are synthesized into grid samples, which the term projects back."""
+        values = np.asarray(coeffs, dtype=float) @ es.modes
+        return cls(grid=es.grid, times=times, values=values, onset=onset, es=es)
 
     def coefficients(self, es: EigenSystem) -> np.ndarray:
         """Per-instant expansion of the source in ``es``; rows follow ``times``."""
@@ -192,32 +190,19 @@ def _trapezoid_in_time(times: np.ndarray, w_mid=1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolutionField:
-    """Evolution sampled on a space-time grid.
-
-    Spectrally built fields also carry their per-time coefficient rows and
-    the initial coefficients; oracle-built fields carry grid values only.
-    """
+    """Evolution sampled on a space-time grid, one row of grid values per
+    time; an exact slice at any t is ``solve_forward(xi, src, times=[t])``."""
 
     grid: Grid
     times: np.ndarray
     values: np.ndarray
-    coeffs: np.ndarray | None = None
-    alpha: SpectralVector | None = None
-    source: SourceTerm | None = None
 
     def __post_init__(self):
         _freeze_history(self, "field")
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
     def slice_at(self, t: float) -> GridFunction:
-        """Spatial slice at time t; exact for spectral fields, interpolated
-        between stored rows otherwise."""
-        if self.alpha is not None:
-            coeffs = _coeffs_at(self.alpha, self.source, self.alpha.es, float(t), self.horizon)
-            return GridFunction(self.grid, coeffs[0] @ self.alpha.es.modes)
+        """Spatial slice at time t: the stored row at a stored time, linearly
+        interpolated between stored rows."""
         t = float(t)
         if not self.times[0] <= t <= self.times[-1]:
             raise TimeOutOfRange(f"t = {t:g} outside [{self.times[0]:g}, {self.times[-1]:g}]")
@@ -330,24 +315,20 @@ def _coeffs_at(alpha: SpectralVector, src: SourceTerm | None, es: EigenSystem,
 
 def solve_forward(xi: SpectralVector, src: SourceTerm | None = None,
                   times=None, horizon: float | None = None) -> SolutionField:
-    """Evolve initial coefficients (plus optional source) over [0, horizon]."""
+    """Evolve initial coefficients (plus optional source) over [0, horizon];
+    the field holds the grid values at ``times`` (129 uniform by default)."""
     es = xi.es
     if horizon is None:
         if src is None:
             raise ValueError("pass a horizon when there is no source")
         horizon = src.horizon
-    if src is not None:
-        if src.grid != es.grid:
-            raise GridMismatch("source and eigensystem use different grids")
-        if abs(src.horizon - horizon) > 1e-12 * horizon:
-            raise ValueError("source tabulation does not span the horizon")
+    if src is not None and abs(src.horizon - horizon) > 1e-12 * horizon:
+        raise ValueError("source tabulation does not span the horizon")
     if times is None:
         times = np.linspace(0.0, horizon, 129)
     times = np.asarray(times, dtype=float)
-    coeffs = _coeffs_at(xi, src, es, times, horizon)
-    values = coeffs @ es.modes
-    return SolutionField(grid=es.grid, times=times, values=values, coeffs=coeffs, alpha=xi,
-                         source=src)
+    values = _coeffs_at(xi, src, es, times, horizon) @ es.modes
+    return SolutionField(grid=es.grid, times=times, values=values)
 
 
 def average_from_initial(xi: SpectralVector, ws: WeightSpec) -> SpectralVector:
@@ -371,13 +352,11 @@ def average_from_source(src: SourceTerm, ws: WeightSpec,
     return SpectralVector(es, _source_average(src, es, ws))
 
 
-def weighted_average(field: SolutionField, ws: WeightSpec) -> SpectralVector:
-    """Apply the averaged measurement to a spectral field, exactly: the sum
-    of `average_from_initial` and `average_from_source`, which raises
-    `OnsetInvalid` for a source whose onset is not before the horizon."""
-    if field.alpha is None:
-        raise ValueError("weighted_average needs a spectrally built field")
-    out = average_from_initial(field.alpha, ws).coeffs
-    if field.source is not None:
-        out = out + average_from_source(field.source, ws, field.alpha.es).coeffs
-    return SpectralVector(field.alpha.es, out)
+def weighted_average(xi: SpectralVector, ws: WeightSpec,
+                     src: SourceTerm | None = None) -> SpectralVector:
+    """Apply the averaged measurement to the evolution from ``xi`` driven by
+    ``src``, exactly: the sum of `average_from_initial` and
+    `average_from_source`, which raises `OnsetInvalid` for a source whose
+    onset is not before the horizon."""
+    source = 0.0 if src is None else average_from_source(src, ws, xi.es).coeffs
+    return SpectralVector(xi.es, average_from_initial(xi, ws).coeffs + source)

@@ -602,13 +602,33 @@ def _rows(text):
      "phi.csv: time blocks must be strictly increasing"),
     ("oracle", "phi.csv", lambda text: "".join(_rows(text)[:-257]),
      f"phi.csv: source tabulation must cover [0, {T:g}]"),
+    ("spectrum", "run.cfg", lambda text: text.replace("q = 0.0", "q = 0.0\ndiffusion = 1e308"),
+     "diffusion = 1e+308 is too large for double precision"),
+    ("oracle", "run.cfg", lambda text: text.replace("q = 0.0", "q = 0.0\ndiffusion = 1e308"),
+     "diffusion = 1e+308 is too large for double precision"),
+    ("spectrum", "run.cfg", lambda text: text.replace("q = 0.0", "coeff_table = big_a.txt"),
+     "a = 1e+306 is too large for double precision"),
+    ("oracle", "run.cfg", lambda text: text.replace("q = 0.0", "coeff_table = big_a.txt"),
+     "a = 1e+306 is too large for double precision"),
+    ("oracle", "run.cfg", lambda text: text.replace("n_steps = 512", "n_steps = 1"),
+     "run.cfg: n_steps must be at least 2, not 1"),
+    ("spectrum", "run.cfg", lambda text: text.replace("N = 60", "N = sixty"),
+     "run.cfg: N must be an integer, not 'sixty'"),
+    ("spectrum", "run.cfg", lambda text: text.replace("n_steps = 512", "n_steps = 1.5"),
+     "run.cfg: n_steps must be an integer, not '1.5'"),
+    ("spectrum", "run.cfg", lambda text: text + "\n[figure1]\nN = 2.5\n",
+     "run.cfg: [figure1] N must be an integer, not '2.5'"),
 ], ids=["no_config", "no_L", "no_T", "quasi_no_epsilon", "epsilon_zero", "epsilon_beyond_T",
         "table_case_no_table", "unknown_case", "missing_table_file", "grid_csv_header",
         "grid_csv_abscissae", "source_two_columns", "source_partial_block",
-        "source_times_decrease", "source_short_of_T"])
+        "source_times_decrease", "source_short_of_T", "spectrum_huge_diffusion",
+        "oracle_huge_diffusion", "spectrum_huge_table_a", "oracle_huge_table_a",
+        "n_steps_below_2", "N_not_an_integer", "n_steps_not_an_integer",
+        "figure1_N_not_an_integer"])
 def test_input_error_names_its_cause(small_setup, tmp_path, command, name, change, cause):
     # ``change`` rewrites one input file; None deletes it
     cfg, grid, *_ = small_setup
+    (tmp_path / "big_a.txt").write_text("0.0 1e306 0.0\n7.0 1e306 0.0\n")
     write_grid_csv(tmp_path / "xi.csv", ha.GridFunction(grid, np.sin(grid.nodes / 2.0)))
     times = np.linspace(0.0, T, 3)
     write_field_csv(tmp_path / "phi.csv",

@@ -120,7 +120,8 @@ def test_solve_forward_duhamel_terminal_coefficient(pi_es):
     zero = ha.SpectralVector(pi_es, np.zeros(pi_es.n_modes))
     field = ha.solve_forward(zero, src, times=np.array([0.0, T]))
     lam = pi_es.lambdas[0]
-    assert field.coeffs[-1, 0] == pytest.approx((1 - math.exp(-lam * T)) / lam, rel=1e-13)
+    terminal = ha.project(field.slice_at(T), pi_es).coeffs[0]
+    assert terminal == pytest.approx((1 - math.exp(-lam * T)) / lam, rel=1e-13)
 
 
 def test_field_slices_match_stored_values(pi_es):
@@ -192,10 +193,20 @@ def test_field_slice_at_a_stored_end_time_is_that_row():
 
 
 def test_field_slice_at_arbitrary_time(pi_es):
-    field = ha.solve_forward(ha.basis_vector(pi_es, 0), None, horizon=T)
-    t = 0.0678  # between the stored times; the spectral slice is exact there
+    t = 0.0678  # between the default stored times; a field evaluated at t alone is exact
+    field = ha.solve_forward(ha.basis_vector(pi_es, 0), None, times=[t], horizon=T)
     expected = math.exp(-t) * math.sqrt(2.0 / np.pi) * np.sin(pi_es.grid.nodes)
     assert np.max(np.abs(field.slice_at(t).values - expected)) < 1e-13
+
+
+def test_records_hold_one_copy_of_their_history(pi_es):
+    grid, times = pi_es.grid, [0.0, T]
+    with pytest.raises(TypeError):
+        ha.SolutionField(grid, times, np.zeros((2, grid.n_nodes)),
+                         alpha=ha.basis_vector(pi_es, 0))
+    with pytest.raises(TypeError):
+        ha.SourceTerm(grid, times, np.zeros((2, grid.n_nodes)), es=pi_es,
+                      coeffs=np.ones((2, pi_es.n_modes)))
 
 
 def test_average_from_initial_is_diagonal(pi_es, avg_ws):
@@ -286,7 +297,7 @@ def test_onset_must_precede_horizon_with_terminal_weight(pi_es):
     with pytest.raises(ha.OnsetInvalid):
         ha.average_from_source(src, ws)
     with pytest.raises(ha.OnsetInvalid):
-        ha.weighted_average(ha.solve_forward(ha.basis_vector(pi_es, 0), src), ws)
+        ha.weighted_average(ha.basis_vector(pi_es, 0), ws, src)
     # fine once the onset moves strictly inside the horizon
     src_ok = ha.SourceTerm.from_modal(pi_es, times, coeffs, onset=0.5 * T)
     ha.average_from_source(src_ok, ws)
@@ -295,8 +306,7 @@ def test_onset_must_precede_horizon_with_terminal_weight(pi_es):
 def test_energy_decay_without_source(pi_es):
     rng = np.random.default_rng(31)
     xi = ha.SpectralVector(pi_es, rng.standard_normal(pi_es.n_modes))
-    field = ha.solve_forward(xi, None, horizon=T)
-    norms = [np.linalg.norm(field.coeffs[j]) for j in range(field.times.size)]
+    norms = [np.linalg.norm(ha.evolve_homogeneous(xi, t).coeffs) for t in np.linspace(0.0, T, 129)]
     assert np.all(np.diff(norms) <= 1e-15)
 
 
@@ -306,10 +316,9 @@ def test_weighted_average_cross_checks_source_quadrature(pi_es):
     times = np.linspace(0.0, T, 5)
     src = ha.SourceTerm.from_modal(pi_es, times, rng.standard_normal((5, pi_es.n_modes)))
     xi = ha.SpectralVector(pi_es, rng.standard_normal(pi_es.n_modes))
-    field = ha.solve_forward(xi, src, horizon=T)
     direct = (ha.average_from_initial(xi, ws).coeffs
               + ha.average_from_source(src, ws).coeffs)
-    fourth_order = ha.weighted_average(field, ws)
+    fourth_order = ha.weighted_average(xi, ws, src)
     assert np.max(np.abs(fourth_order.coeffs - direct)) < 1e-12
 
 
@@ -320,6 +329,11 @@ def test_source_grid_history_round_trip(pi_es):
     src = ha.SourceTerm.from_modal(pi_es, times, coeffs)
     again = ha.SourceTerm.from_grid_history(pi_es.grid, times, src.values, es=pi_es)
     assert np.max(np.abs(again.coefficients(pi_es) - coeffs)) < 1e-12
+    # a source built with an eigensystem carries the projection of its samples, bit for bit
+    w = pi_es.grid.trapezoid_weights()
+    for built in (src, again):
+        assert np.array_equal(built.coeffs, (built.values * w) @ pi_es.modes.T)
+        assert built.coefficients(pi_es) is built.coeffs
 
 
 @pytest.fixture(scope="module")
@@ -361,7 +375,8 @@ def test_solve_forward_off_knot_times_match_duhamel(zero_mode_case):
     coeffs = src.coefficients(es)
     times = np.array([0.0, 0.004, 0.013, 0.0275, 0.069, 0.0855, T])
     zero = ha.SpectralVector(es, np.zeros(es.n_modes))
-    field = ha.solve_forward(zero, src, times=times)
+    field_coeffs = forward._coeffs_at(zero, src, es, times, T)
+    assert np.array_equal(ha.solve_forward(zero, src, times=times).values, field_coeffs @ es.modes)
     for k in (0, 1, 5, 11):
         lam = es.lambdas[k]
         for j, t in enumerate(times):
@@ -370,7 +385,7 @@ def test_solve_forward_off_knot_times_match_duhamel(zero_mode_case):
 
             reference = _pieces_quad(integrand, knots, t)
             assert ha.duhamel(src, k, t) == pytest.approx(reference, rel=1e-12, abs=1e-15)
-            assert field.coeffs[j, k] == pytest.approx(ha.duhamel(src, k, t), rel=1e-14, abs=1e-16)
+            assert field_coeffs[j, k] == pytest.approx(ha.duhamel(src, k, t), rel=1e-14, abs=1e-16)
 
 
 @pytest.mark.parametrize("with_source", [False, True], ids=["initial", "source"])
@@ -484,10 +499,10 @@ def test_forward_kernel_matches_unblocked_reference_bit_for_bit(bits_case, n_tim
         driven = _reference_coeffs_at(xi, src, es, times)
         averages = [forward._source_average(src, es, ws) for ws in _BITS_WEIGHTS]
     for s, want in ((None, decay), (src, driven)):
-        field = ha.solve_forward(xi, s, times=times, horizon=T)
-        _assert_same_bits(field.coeffs, want)
-        _assert_same_bits(field.values, want @ es.modes)
-        _assert_same_bits(field.slice_at(times[-1]).values, want[-1] @ es.modes)
+        _assert_same_bits(forward._coeffs_at(xi, s, es, times, T), want)
+        _assert_same_bits(ha.solve_forward(xi, s, times=times, horizon=T).values, want @ es.modes)
+        exact_slice = ha.solve_forward(xi, s, times=times[-1:], horizon=T)
+        _assert_same_bits(exact_slice.values, want[-1:] @ es.modes)
     _assert_same_bits(ha.evolve_homogeneous(xi, times[-1]).coeffs, decay[-1])
     for ws, average in zip(_BITS_WEIGHTS, averages):
         _assert_same_bits(ha.average_from_source(src, ws).coeffs, average)

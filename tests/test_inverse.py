@@ -120,9 +120,9 @@ def test_averaged_condition_residual_with_source(pi_es, avg_ws):
     mu_coeffs = (ha.average_from_initial(xi, avg_ws).coeffs
                  + ha.average_from_source(src, avg_ws).coeffs)
     mu = ha.synthesize(ha.SpectralVector(pi_es, mu_coeffs), pi_es)
-    field, rep = ha.solve_inverse(mu, src, avg_ws, pi_es)
+    _, rep = ha.solve_inverse(mu, src, avg_ws, pi_es)
     assert rep.residual_mu < 1e-8
-    applied = ha.weighted_average(field, avg_ws)
+    applied = ha.weighted_average(rep.xi, avg_ws, src)
     gamma = ha.project(mu, pi_es)
     assert np.linalg.norm(applied.coeffs - gamma.coeffs) < 1e-8
 

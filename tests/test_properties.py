@@ -1,7 +1,9 @@
-"""Generated-input properties of the operator, the weight contract and the
-multiplier band.  Deterministic: derandomized, with no example database."""
+"""Generated-input properties of the operator, the weight contract, the
+multiplier band and the inversion (round trip and linearity).
+Deterministic: derandomized, with no example database."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,3 +80,53 @@ def test_multiplier_band_holds_or_names_the_mode(ws, length, diffusion, q):
     scaled = np.where(lam > 0.0, lam * mult, mult)
     assert 0.0 < sc.c1 < sc.c2
     assert np.all(scaled >= sc.c1 * (1.0 - 1e-12)) and np.all(scaled <= sc.c2 * (1.0 + 1e-12))
+
+
+@st.composite
+def constant_systems(draw):
+    """Eigensystems of constant operators with q >= 0 on grids of at most 65 nodes."""
+    length = draw(st.floats(1.0, np.pi))
+    op = ha.OperatorSpec.constant(length, q=draw(st.floats(0.0, 10.0)),
+                                  diffusion=draw(st.floats(0.5, 2.0)))
+    grid = ha.Grid.uniform(length, draw(st.sampled_from([17, 33, 65])))
+    return ha.build_eigensystem(op, grid, draw(st.integers(1, grid.n_nodes - 2)))
+
+
+RNGS = st.integers(0, 2**32 - 1).map(np.random.default_rng)
+SMALL = settings(PROFILE, max_examples=50)
+
+
+@SMALL
+@given(es=constant_systems(), ws=weights(admissible=True), rng=RNGS)
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the curvature-tail warning of random data
+def test_recover_initial_inverts_the_weighted_average(es, ws, rng):
+    xi = ha.SpectralVector(es, rng.standard_normal(es.n_modes))
+    mu = ha.synthesize(ha.weighted_average(xi, ws), es)
+    back = ha.recover_initial(mu, ws, es).xi.coeffs
+    rel = np.linalg.norm(back - xi.coeffs) / np.linalg.norm(xi.coeffs)
+    assert rel <= 1e-10  # acceptance criterion 1
+
+
+@SMALL
+@given(es=constant_systems(), ws=weights(admissible=True), rng=RNGS,
+       a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_solve_inverse_is_linear_in_data_and_source(es, ws, rng, a, b):
+    # data made by the forward map, so each part alone also round-trips
+    times = np.linspace(0.0, ws.horizon, 4)
+    xis = [ha.SpectralVector(es, rng.standard_normal(es.n_modes)) for _ in range(2)]
+    rows = [rng.standard_normal((times.size, es.grid.n_nodes)) for _ in range(2)]
+    srcs = [ha.SourceTerm.from_grid_history(es.grid, times, v, es=es) for v in rows]
+    mus = [ha.synthesize(ha.weighted_average(xi, ws, src), es).values
+           for xi, src in zip(xis, srcs)]
+    (f1, r1), (f2, r2) = (ha.solve_inverse(ha.GridFunction(es.grid, mu), src, ws, es)
+                          for mu, src in zip(mus, srcs))
+    src12 = ha.SourceTerm.from_grid_history(es.grid, times, a * rows[0] + b * rows[1], es=es)
+    mu12 = ha.GridFunction(es.grid, a * mus[0] + b * mus[1])
+    f12, r12 = ha.solve_inverse(mu12, src12, ws, es)
+    for got, one, two in ((r12.xi.coeffs, r1.xi.coeffs, r2.xi.coeffs),
+                          (f12.values, f1.values, f2.values)):
+        scale = np.linalg.norm(np.abs(a * one) + np.abs(b * two))
+        assert np.linalg.norm(got - (a * one + b * two)) <= 1e-10 * scale
+    for xi, rep in zip(xis, (r1, r2)):
+        assert np.linalg.norm(rep.xi.coeffs - xi.coeffs) <= 1e-10 * np.linalg.norm(xi.coeffs)
