@@ -10,8 +10,8 @@ orthonormal to machine precision.
 Two construction paths exist.  Constant coefficients use the classical sine
 eigenfunctions directly.  Tabulated coefficients are discretized with
 second-order central differences (diffusion sampled at cell midpoints),
-which yields a symmetric tridiagonal matrix solved by a dedicated
-tridiagonal eigensolver.
+which yields a symmetric tridiagonal matrix solved by LAPACK's tridiagonal
+bisection and inverse iteration (``dstebz``, ``dstein``).
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from ._lapack import routines
 
 
 class NonElliptic(ValueError):
@@ -250,13 +252,25 @@ def build_eigensystem(op: OperatorSpec, grid: Grid, n_modes: int) -> EigenSystem
         modes[:, 0] = 0.0
         modes[:, -1] = 0.0
     else:
-        from scipy.linalg import eigh_tridiagonal
+        dstebz, dstein = routines("dstebz", "dstein")
 
         a_mid, a0_nodes = op.sample(grid)
         h = grid.h
         diag = (a_mid[:-1] + a_mid[1:]) / h**2 - a0_nodes[1:-1]
-        off = -a_mid[1:-1] / h**2
-        lambdas, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_modes - 1))
+        # the wrappers want an off-diagonal entry even for the 1 x 1 matrix
+        # of a 3-node grid, where LAPACK reads none
+        off = -a_mid[1:-1] / h**2 if grid.n_nodes > 3 else np.zeros(1)
+        # eigh_tridiagonal(select="i")'s sequence: bisection for the lowest
+        # n_modes eigenvalues in block order, inverse iteration for their
+        # vectors, then ascending order
+        m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, n_modes, 0.0, "B")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dstebz did not converge (LAPACK info={info})")
+        vecs, info = dstein(diag, off, w[:m], iblock, isplit)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dstein: {info} eigenvectors failed to converge")
+        order = np.argsort(w[:m])
+        lambdas, vecs = w[order], vecs[:, order]
         modes = np.zeros((n_modes, grid.n_nodes))
         # LAPACK vectors are Euclidean-orthonormal over the interior nodes;
         # dividing by sqrt(h) makes them trapezoid-orthonormal.

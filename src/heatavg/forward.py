@@ -144,7 +144,11 @@ class SourceTerm:
     def from_modal(cls, es: EigenSystem, times, coeffs, onset: float = 0.0) -> "SourceTerm":
         """Build from per-instant coefficient rows in the given eigenbasis: the
         rows are synthesized into grid samples, which the term projects back."""
-        values = np.asarray(coeffs, dtype=float) @ es.modes
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.ndim != 2 or coeffs.shape[1] != es.n_modes:
+            raise ValueError(f"source coefficients of shape {coeffs.shape} are not rows "
+                             f"of the eigensystem's {es.n_modes} modes")
+        values = coeffs @ es.modes
         return cls(grid=es.grid, times=times, values=values, onset=onset, es=es)
 
     def coefficients(self, es: EigenSystem) -> np.ndarray:

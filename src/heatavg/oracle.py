@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lapack import routines
 from .basis import GridFunction, OperatorSpec
 from .forward import SolutionField, SourceTerm, _rows_at, _trapezoid_in_time
 
@@ -63,11 +64,13 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     The step matrix I - (dt/2) A is LU-factored once per distinct step size
     (LAPACK ``dgttrf``); each step then forms its right-hand side in the
     next row of the field and back-solves it there (``dgttrs``), so every
-    state is written once.  The source row at each step
-    time comes from the rule `SourceTerm.values_at` uses, one row at a
-    time: linear between knots, held at the last row beyond the last knot.
+    state is written once.  Both routines come from scipy's LAPACK extension,
+    loaded without importing `scipy.linalg` (`_lapack.routines`).  The source
+    row at each step time comes from the rule `SourceTerm.values_at` uses,
+    one row at a time: linear between knots, held at the last row beyond the
+    last knot.
     """
-    from scipy.linalg.lapack import dgttrf, dgttrs
+    dgttrf, dgttrs = routines("dgttrf", "dgttrs")
 
     grid = xi.grid
     if grid.n_nodes != cfg.n_nodes:

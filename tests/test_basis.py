@@ -45,6 +45,40 @@ def test_tabulated_matches_dense_eigensolver_oracle():
     assert np.max(np.abs(es.lambdas - oracle)) < 1e-8
 
 
+def _reference_tabulated(op, grid, n_modes):
+    """Reference: the tabulated eigensolve through `eigh_tridiagonal`, as it
+    was before `build_eigensystem` called LAPACK's routines itself."""
+    from scipy.linalg import eigh_tridiagonal
+
+    a_mid, a0_nodes = op.sample(grid)
+    h = grid.h
+    diag = (a_mid[:-1] + a_mid[1:]) / h**2 - a0_nodes[1:-1]
+    off = -a_mid[1:-1] / h**2
+    lambdas, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_modes - 1))
+    modes = np.zeros((n_modes, grid.n_nodes))
+    modes[:, 1:-1] = vecs.T / np.sqrt(h)
+    flip = modes[:, 1] < 0.0
+    modes[flip] *= -1.0
+    return lambdas, modes
+
+
+@pytest.mark.parametrize("op, n_nodes, n_modes", [
+    (ha.OperatorSpec.from_callables(1.0, lambda x: 1.0 + 0.5 * np.sin(3.0 * x),
+                                    lambda x: 2.0 - x), 1025, 300),
+    (ha.OperatorSpec.from_table(2 * np.pi, [0.0, 3.0, 2 * np.pi], [1.0, 1.5, 1.0],
+                                [0.0, -0.5, 0.0]), 257, 255),
+    (ha.OperatorSpec.from_table(1.0, [0.0, 0.4, 1.0], [0.5, 3.0, 1.0], [30.0, -5.0, 10.0]),
+     65, 63),
+    (ha.OperatorSpec.from_table(1.0, [0.0, 1.0], [1.0, 2.0], [0.0, 1.0]), 3, 1),
+], ids=["smooth_N300", "table_all_modes", "negative_eigenvalues", "three_nodes"])
+def test_tabulated_eigensolve_matches_eigh_tridiagonal_bit_for_bit(op, n_nodes, n_modes):
+    grid = ha.Grid.uniform(op.length, n_nodes)
+    es = ha.build_eigensystem(op, grid, n_modes)
+    for got, want in zip((es.lambdas, es.modes), _reference_tabulated(op, grid, n_modes)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("setup", ["constant", "tabulated"])
 def test_orthonormality(setup, default_es):
     if setup == "constant":

@@ -31,8 +31,9 @@ def run_cli(*args, cwd):
 
 
 def test_import_does_not_load_scipy(tmp_path):
-    # scipy is imported where it is used: the tabulated eigensolve and the
-    # oracle; a constant operator's commands other than `oracle` never load it
+    # only the tabulated eigensolve and the oracle call into scipy, and they
+    # load its LAPACK extension alone (see the next test); a constant
+    # operator's commands other than `oracle` never load any of scipy
     write_config(tmp_path / "run.cfg")
     grid = ha.Grid.uniform(L, 257)
     write_grid_csv(tmp_path / "f.csv", ha.GridFunction(grid, np.sin(grid.nodes / 2.0)))
@@ -44,6 +45,34 @@ def test_import_does_not_load_scipy(tmp_path):
         "                       ['figure1']):\n"
         "    assert cli.main([command, 'run.cfg', *data, '--out-dir', 'out']) == 0, command\n"
         "    assert 'scipy' not in sys.modules, command\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_and_tabulated_spectrum_do_not_import_scipy_linalg(tmp_path):
+    cfg = write_config(tmp_path / "run.cfg")
+    (tmp_path / "coeffs.txt").write_text(f"0.0 1.0 0.0\n3.0 1.5 -0.5\n{L!r} 1.0 0.0\n")
+    (tmp_path / "table.cfg").write_text(
+        cfg.read_text().replace("q = 0.0", "coeff_table = coeffs.txt"))
+    grid = ha.Grid.uniform(L, 257)
+    write_grid_csv(tmp_path / "xi.csv", ha.GridFunction(grid, np.sin(grid.nodes / 2.0)))
+    times = np.linspace(0.0, T, 3)
+    write_field_csv(tmp_path / "phi.csv",
+                    ha.SolutionField(grid=grid, times=times,
+                                     values=np.outer(1.0 + times, np.sin(grid.nodes / 2.0))),
+                    column="phi")
+    script = (
+        "import sys\n"
+        "from heatavg import _lapack, cli\n"
+        "for argv in (['oracle', 'run.cfg', 'xi.csv', '--phi', 'phi.csv'],\n"
+        "             ['spectrum', 'table.cfg']):\n"
+        "    assert cli.main([*argv, '--out-dir', 'out']) == 0, argv\n"
+        "    assert 'scipy.linalg' not in sys.modules, argv\n"
+        "dgttrf, = _lapack.routines('dgttrf')\n"
+        "import scipy.linalg\n"
+        "assert scipy.linalg.lapack.dgttrf is dgttrf\n"
     )
     proc = subprocess.run([sys.executable, "-c", script],
                           cwd=tmp_path, env=child_env(), capture_output=True, text=True)

@@ -207,6 +207,9 @@ def test_records_hold_one_copy_of_their_history(pi_es):
     with pytest.raises(TypeError):
         ha.SourceTerm(grid, times, np.zeros((2, grid.n_nodes)), es=pi_es,
                       coeffs=np.ones((2, pi_es.n_modes)))
+    with pytest.raises(ValueError, match=r"^source coefficients of shape \(2, 22\) are not "
+                                         r"rows of the eigensystem's 20 modes$"):
+        ha.SourceTerm.from_modal(pi_es, times, np.ones((2, 22)))
 
 
 def test_average_from_initial_is_diagonal(pi_es, avg_ws):
