@@ -56,7 +56,6 @@ from .weights import (
     StabilityConstants,
     WeightReport,
     WeightSpec,
-    load_weight_table,
     stability_constants,
 )
 
@@ -90,7 +89,6 @@ __all__ = [
     "build_eigensystem",
     "duhamel",
     "evolve_homogeneous",
-    "load_weight_table",
     "norm_h2",
     "project",
     "recover_initial",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -89,22 +90,24 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-        report = cfg.weight.validate()
-        if not report.ok:
-            for clause in report.violations:
-                print(f"weight condition violated: {clause}", file=sys.stderr)
-            if args.command == "invert" and args.allow_ill_posed:
-                return _cmd_invert_ill_posed(cfg, args)
-            return EXIT_ILL_POSED
-        return _COMMANDS[args.command](cfg, args)
-    except BoundViolated as exc:
-        print(f"multiplier bound violated: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with warnings.catch_warnings():  # one plain line per warning: no path or source line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            cfg = load_config(args.config)
+            report = cfg.weight.validate()
+            if not report.ok:
+                for clause in report.violations:
+                    print(f"weight condition violated: {clause}", file=sys.stderr)
+                if args.command == "invert" and args.allow_ill_posed:
+                    return _cmd_invert_ill_posed(cfg, args)
+                return EXIT_ILL_POSED
+            return _COMMANDS[args.command](cfg, args)
+        except BoundViolated as exc:
+            print(f"multiplier bound violated: {exc}", file=sys.stderr)
+            return EXIT_BOUND
+        except _INPUT_ERRORS as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 def entry() -> None:

@@ -1,18 +1,22 @@
-"""Config and CSV file formats shared by the command-line tools.
+"""Every text input is parsed here: the config, its tables, and the CSVs.
 
 Configs are ini-style key = value files with sections [operator], [weight],
-[run], and [figure1]; '#' starts a comment.  Grid functions travel as
-two-column CSVs with header ``x,value``; space-time fields as three-column
-CSVs with header ``x,t,u`` (sources use ``x,t,phi``), one block of rows
-per time.  All floats are printed with 17 significant digits so files
-round-trip exactly; one row writer serves every CSV the CLI emits.
+[run], and [figure1]; '#' starts a comment.  A numeric value that is not a
+number (or not an integer, for a count) is named with its key and the file.
+A table (``coeff_table``: ``x a a0``; weight ``table``: ``t_start t_end
+value``) has one row of whitespace-separated finite floats per line, '#'
+comments and blank lines skipped; its errors name the file and 1-based line.
 
-Reading checks the header line, drops blank and whitespace-only lines and
-parses the rest with ``np.loadtxt`` (comma-delimited, no comment
-character): every row must hold the same number of fields, each a float
-such as ``-1.5e-3``, ``inf`` or ``nan``.  Python's ``_`` digit separators
-(``1_000``) are rejected.  A space-time CSV must repeat the grid's
-abscissae in every block and carry one time per block.
+Grid functions travel as two-column CSVs with header ``x,value``; space-time
+fields as three-column CSVs with header ``x,t,u`` (sources use ``x,t,phi``),
+one block of rows per time.  All floats are printed with 17 significant
+digits so files round-trip exactly; one row writer serves every CSV the CLI
+emits.  Reading checks the header line, drops blank and whitespace-only
+lines and parses the rest with ``np.loadtxt`` (comma-delimited, no comment
+character): every row must hold the same number of fields, each a float such
+as ``-1.5e-3``, ``inf`` or ``nan``.  Python's ``_`` digit separators
+(``1_000``) are rejected.  A space-time CSV must repeat the grid's abscissae
+in every block and carry one time per block.  CSV errors name the file.
 """
 
 from __future__ import annotations
@@ -98,6 +102,31 @@ def _write_csv(path, header: str, keys, blocks) -> None:
             f.write("\n".join(map(",".join, zip(keys, *cells))) + "\n")
 
 
+# -- tables ------------------------------------------------------------------
+
+def read_table(path, columns: str, noun: str) -> np.ndarray:
+    """The rows of a whitespace table with the named ``columns`` (e.g.
+    ``"x a a0"``) as a float array, one row per data line; ``noun`` names the
+    table in errors, each of which starts ``path:line:``."""
+    rows = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) != len(columns.split()):
+            raise ValueError(f"{path}:{lineno}: expected '{columns}'")
+        try:
+            row = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{lineno}: {noun} values must be finite")
+        rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: {noun} has no data rows")
+    return np.array(rows)
+
+
 # -- config ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -137,40 +166,35 @@ def load_config(path) -> RunConfig:
     if "operator" not in parser or "L" not in parser["operator"]:
         raise ValueError(f"{path}: [operator] section with L is required")
     op_sec = parser["operator"]
-    length = op_sec.getfloat("L")
+    length = _number(path, "L", op_sec["L"])
     if "coeff_table" in op_sec:
         table = _resolve(path, op_sec["coeff_table"])
         OperatorSpec.constant(length)  # checks L first, so its errors do not name the table
-        lines = table.read_text().splitlines()
-        try:  # loadtxt's and from_table's texts do not name the file
-            if not any(line.split("#", 1)[0].strip() for line in lines):
-                raise ValueError("coefficient table has no data rows")
-            data = np.loadtxt(lines, ndmin=2)
-            if data.shape[1] != 3:
-                raise ValueError("expected columns 'x a a0'")
+        data = read_table(table, "x a a0", "coefficient table")
+        try:  # from_table's texts do not name the file
             operator = OperatorSpec.from_table(length, *data.T)
         except ValueError as exc:
             raise ValueError(f"{table}: {exc}") from None
     else:
-        operator = OperatorSpec.constant(length, q=op_sec.getfloat("q", 0.0),
-                                         diffusion=op_sec.getfloat("diffusion", 1.0))
+        q = _number(path, "q", op_sec.get("q", "0"))
+        diffusion = _number(path, "diffusion", op_sec.get("diffusion", "1"))
+        operator = OperatorSpec.constant(length, q=q, diffusion=diffusion)
 
     if "run" not in parser or "T" not in parser["run"]:
         raise ValueError(f"{path}: [run] section with T is required")
     run = parser["run"]
-    horizon = run.getfloat("T")
+    horizon = _number(path, "T", run["T"])
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"{path}: T must be positive and finite")
-    n_times = _int_key(path, run, "n_times", 129, minimum=2)
-    n_nodes = _int_key(path, run, "n_nodes", 1025, minimum=3)
+    n_times = _number(path, "n_times", run.get("n_times", "129"), int, minimum=2)
+    n_nodes = _number(path, "n_nodes", run.get("n_nodes", "1025"), int, minimum=3)
 
     weight = _load_weight(parser, path, horizon)
 
     fig = parser["figure1"] if "figure1" in parser else {}
-    frequencies = tuple(
-        float(f) for f in str(fig.get("frequencies", "1, 3")).replace(",", " ").split()
-    )
-    delta = float(fig.get("delta", 0.1))
+    frequencies = tuple(_number(path, "[figure1] frequencies", f)
+                        for f in fig.get("frequencies", "1, 3").replace(",", " ").split())
+    delta = _number(path, "[figure1] delta", fig.get("delta", "0.1"))
     if not all(map(math.isfinite, frequencies)):
         raise ValueError(f"{path}: [figure1] frequencies must be finite")
     if not math.isfinite(delta):
@@ -179,30 +203,29 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         operator=operator,
         weight=weight,
-        n_modes=_int_key(path, run, "N", 300),
+        n_modes=_number(path, "N", run.get("N", "300"), int),
         n_nodes=n_nodes,
-        n_steps=_int_key(path, run, "n_steps", 2048, minimum=2),
+        n_steps=_number(path, "n_steps", run.get("n_steps", "2048"), int, minimum=2),
         n_times=n_times,
-        onset=run.getfloat("onset", 0.0),
+        onset=_number(path, "onset", run.get("onset", "0")),
         delta=delta,
         frequencies=frequencies,
-        fig_n_modes=_int_key(path, fig, "N", None, where="[figure1] "),
+        fig_n_modes=_number(path, "[figure1] N", fig["N"], int) if "N" in fig else None,
     )
 
 
-def _int_key(path: Path, sec, key: str, default, minimum: int | None = None,
-             where: str = "") -> int | None:
-    """The integer under ``key``, else ``default``; a non-integer or a value
-    below ``minimum`` is named with the file (mode counts: `build_eigensystem`)."""
-    raw = sec.get(key)
-    if raw is None:
-        return default
+def _number(path: Path, key: str, raw: str, kind=float, minimum: int | None = None):
+    """``raw``, the text of config key ``key``, as a ``kind`` (float or int).
+    Text that is not one, or a value below ``minimum``, is named with the key
+    and the file; other range checks stay with the value's user (a mode
+    count's with `build_eigensystem`)."""
     try:
-        value = int(raw)
+        value = kind(raw)
     except ValueError:
-        raise ValueError(f"{path}: {where}{key} must be an integer, not '{raw}'") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{path}: {key} must be {noun}, not '{raw}'") from None
     if minimum is not None and value < minimum:
-        raise ValueError(f"{path}: {where}{key} must be at least {minimum}, not {value}")
+        raise ValueError(f"{path}: {key} must be at least {minimum}, not {value}")
     return value
 
 
@@ -210,24 +233,25 @@ def _load_weight(parser: configparser.ConfigParser, path: Path, horizon: float) 
     if "weight" not in parser:
         return WeightSpec.average(horizon)
     sec = parser["weight"]
-    kappa = sec.getfloat("kappa", 0.0)
     case = sec.get("case", "table" if "table" in sec else "average").strip().lower()
-    t1 = sec.getfloat("T1") if "T1" in sec else None
+    kappa = _number(path, "kappa", sec.get("kappa", "1" if case == "quasi" else "0"))
+    t1 = _number(path, "T1", sec["T1"]) if "T1" in sec else None
     if case == "average":
         return WeightSpec.average(horizon, kappa=kappa, t1=t1)
     if case == "quasi":
-        eps = sec.getfloat("epsilon", None)
-        if eps is None:
+        if "epsilon" not in sec:
             raise ValueError(f"{path}: the quasi weight case needs 'epsilon'")
+        eps = _number(path, "epsilon", sec["epsilon"])
         if not 0.0 < eps <= horizon:
             raise ValueError(f"{path}: epsilon must lie in (0, T]")
-        return WeightSpec.quasi_boundary(horizon, eps, kappa=sec.getfloat("kappa", 1.0), t1=t1)
+        return WeightSpec.quasi_boundary(horizon, eps, kappa=kappa, t1=t1)
     if case == "zero":
         return WeightSpec(kappa=kappa, pieces=(), horizon=horizon, t1=t1)
     if case == "table":
         if "table" not in sec:
             raise ValueError(f"{path}: the table weight case needs 'table'")
-        return WeightSpec.from_table(_resolve(path, sec["table"]), horizon, kappa, t1)
+        pieces = read_table(_resolve(path, sec["table"]), "t_start t_end value", "weight table")
+        return WeightSpec.from_pieces(kappa, pieces.tolist(), horizon, t1)
     raise ValueError(f"{path}: unknown weight case '{case}'")
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -147,11 +146,6 @@ class WeightSpec:
             object.__setattr__(ws, "t1", ws._inferred_t1())
         return ws
 
-    @classmethod
-    def from_table(cls, path, horizon: float, kappa: float = 0.0,
-                   t1: float | None = None) -> "WeightSpec":
-        return cls.from_pieces(kappa, load_weight_table(path), horizon, t1)
-
     # -- piecewise evaluation -----------------------------------------------
 
     def _contiguous(self):
@@ -240,28 +234,6 @@ class WeightSpec:
         if out.ndim == 0:
             return float(out)
         return out
-
-
-def load_weight_table(path) -> tuple[tuple[float, float, float], ...]:
-    """Read pieces from a plain-text table, one ``start end value`` per line."""
-    pieces = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 't_start t_end value'")
-        try:
-            piece = tuple(float(f) for f in fields)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if not all(map(math.isfinite, piece)):
-            raise ValueError(f"{path}:{lineno}: weight table values must be finite")
-        pieces.append(piece)
-    if not pieces:
-        raise ValueError(f"{path}: weight table is empty")
-    return tuple(pieces)
 
 
 def stability_constants(ws: WeightSpec, es: EigenSystem) -> StabilityConstants:

@@ -219,6 +219,22 @@ def test_grids_are_equal_by_their_pair(pi_es, length, n_nodes, accepted):
                 call()
 
 
+@pytest.mark.parametrize("values, message", [
+    (np.zeros(256), "value array does not match the grid"),
+    (np.zeros((257, 1)), "value array does not match the grid"),
+    (np.where(np.arange(257) == 7, np.nan, 0.0), "grid function values must be finite"),
+    (np.where(np.arange(257) == 7, -np.inf, 0.0), "grid function values must be finite"),
+], ids=["short", "column", "nan", "-inf"])
+def test_grid_function_rejects_bad_values(pi_es, values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ha.GridFunction(pi_es.grid, values)
+
+
+def test_eigensystem_rejects_a_grid_of_another_length():
+    with pytest.raises(ha.GridMismatch, match="grid does not span the operator's interval"):
+        ha.build_eigensystem(ha.OperatorSpec.constant(np.pi), ha.Grid.uniform(3.0, 65), 5)
+
+
 def test_grid_mismatch_rejected(pi_es):
     other = ha.Grid.uniform(np.pi, 101)
     f = ha.GridFunction.zeros(other)

@@ -9,7 +9,8 @@ import pytest
 
 import heatavg as ha
 from heatavg import cli
-from heatavg.fileio import read_grid_csv, read_space_time_csv, write_field_csv, write_grid_csv
+from heatavg.fileio import (load_config, read_grid_csv, read_space_time_csv, write_field_csv,
+                            write_grid_csv)
 from heatavg.profiles import cusp_bump
 
 L = 2 * np.pi
@@ -33,13 +34,15 @@ def run_cli(*args, cwd):
 def test_import_does_not_load_scipy(tmp_path):
     # only the tabulated eigensolve and the oracle call into scipy, and they
     # load its LAPACK extension alone (see the next test); a constant
-    # operator's commands other than `oracle` never load any of scipy
+    # operator's commands other than `oracle` never load any of scipy.  Nor
+    # does `import heatavg` load the text parsers (`fileio`, `configparser`).
     write_config(tmp_path / "run.cfg")
     grid = ha.Grid.uniform(L, 257)
     write_grid_csv(tmp_path / "f.csv", ha.GridFunction(grid, np.sin(grid.nodes / 2.0)))
     script = (
         "import sys, heatavg\n"
         "assert 'scipy' not in sys.modules\n"
+        "assert 'heatavg.fileio' not in sys.modules and 'configparser' not in sys.modules\n"
         "from heatavg import cli\n"
         "for command, *data in (['spectrum'], ['forward', 'f.csv'], ['invert', 'f.csv'],\n"
         "                       ['figure1']):\n"
@@ -289,11 +292,16 @@ def test_ill_posed_override_warning_names_the_cli(small_setup, tmp_path):
     cfg = write_config(tmp_path / "ill.cfg", weight="kappa = 1.0\ncase = zero")
     _, grid, *_ = small_setup
     write_grid_csv(tmp_path / "mu.csv", ha.GridFunction(grid, cusp_bump(grid.nodes, L)))
-    proc = run_cli("invert", cfg, tmp_path / "mu.csv", "--allow-ill-posed",
-                   "--out-dir", tmp_path / "out", cwd=tmp_path)
+    argv = ["invert", cfg, tmp_path / "mu.csv", "--allow-ill-posed", "--out-dir", tmp_path / "out"]
+    proc = run_cli(*argv, cwd=tmp_path)
     assert proc.returncode == 4
     warning = next(line for line in proc.stderr.splitlines() if "not converged" in line)
-    assert "cli.py" in warning, proc.stderr
+    assert warning.startswith("warning: curvature-norm partial sums"), proc.stderr
+    # the CLI prints the message alone; the warning itself still names the CLI line
+    args = cli._build_parser().parse_args(list(map(str, argv)))
+    with pytest.warns(UserWarning, match="not converged") as record:
+        cli._cmd_invert_ill_posed(load_config(cfg), args)
+    assert [Path(w.filename).name for w in record] == ["cli.py"]
 
 
 def test_weight_table_config(tmp_path):
@@ -304,11 +312,23 @@ def test_weight_table_config(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_config_without_weight_section_gets_the_running_average(tmp_path):
+    cfg = write_config(tmp_path / "run.cfg")
+    cfg.write_text(cfg.read_text().replace("[weight]\ncase = average\n", ""))
+    assert "[weight]" not in cfg.read_text()
+    assert load_config(cfg).weight == ha.WeightSpec.average(T)
+
+
 def test_figure1_zero_delta_changes_nothing(tmp_path):
     cfg = write_config(tmp_path / "run.cfg", figure1="delta = 0.0\nfrequencies = 1, 3")
     out = tmp_path / "out"
     proc = run_cli("figure1", cfg, "--out-dir", out, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+    # the same rough data three times: one plain line per warning site, no path
+    warning = ("warning: curvature-norm partial sums have not converged (last decade of "
+               "modes contributes 3.9%); the prescribed average may lack the smoothness "
+               "the stability guarantee assumes")
+    assert proc.stderr.splitlines() == [warning, warning]
     base = (out / "figure1_initial.csv").read_bytes()
     for tag in ("1", "3"):
         assert (out / f"figure1_initial_freq_{tag}.csv").read_bytes() == base
@@ -428,7 +448,7 @@ def test_malformed_grid_csv_is_input_error(small_setup, tmp_path, edit, message)
                    cwd=tmp_path)
     assert proc.returncode == 3
     assert f"input error: {tmp_path / 'bad.csv'}: {message}" in proc.stderr
-    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert "warning" not in proc.stderr.lower() and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("weight, table, cause", [
@@ -459,17 +479,22 @@ def test_unparsable_weight_table_is_input_error(tmp_path):
 
 
 @pytest.mark.parametrize("table, cause", [
-    ("0.0 1.0 0.0\n3.0 abc 0.0\n6.3 1.0 0.0\n", "coeffs.txt: could not convert string 'abc'"),
+    ("0.0 1.0 0.0\n3.0 abc 0.0\n6.3 1.0 0.0\n",
+     "coeffs.txt:2: could not convert string to float: 'abc'"),
+    ("# x a a0\n0.0 1.0 0.0\n\n# interior\n3.0 abc 0.0\n6.3 1.0 0.0\n",
+     "coeffs.txt:5: could not convert string to float: 'abc'"),
+    ("0.0 1.0 0.0\n3.0 1.0\n6.3 1.0 0.0\n", "coeffs.txt:2: expected 'x a a0'"),
     ("", "coeffs.txt: coefficient table has no data rows"),
     ("# x a a0\n\n", "coeffs.txt: coefficient table has no data rows"),
     ("0.0 1.0 0.0\n", "coeffs.txt: a coefficient table needs at least two rows"),
     ("0.0 1.0 0.0\n3.0 1.0 0.0\n2.0 1.0 0.0\n",
      "coeffs.txt: coefficient abscissae must be increasing"),
     ("0.0 1.0 0.0\n3.0 nan 0.0\n6.3 1.0 0.0\n",
-     "coeffs.txt: coefficient table entries must be finite"),
+     "coeffs.txt:2: coefficient table values must be finite"),
     ("0.0 1.0 0.0\n3.0 1.0 0.0\ninf 1.0 0.0\n",
-     "coeffs.txt: coefficient table entries must be finite"),
-], ids=["unparsable", "empty", "comments_only", "one_row", "not_increasing", "a_nan", "x_inf"])
+     "coeffs.txt:3: coefficient table values must be finite"),
+], ids=["unparsable", "unparsable_after_comment_and_blank", "two_columns", "empty",
+        "comments_only", "one_row", "not_increasing", "a_nan", "x_inf"])
 def test_bad_coefficient_table_is_input_error(tmp_path, table, cause):
     (tmp_path / "coeffs.txt").write_text(table)
     cfg = write_config(tmp_path / "run.cfg")
@@ -477,7 +502,7 @@ def test_bad_coefficient_table_is_input_error(tmp_path, table, cause):
     proc = run_cli("spectrum", cfg, "--out-dir", tmp_path / "out", cwd=tmp_path)
     assert proc.returncode == 3
     assert cause in proc.stderr
-    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert "warning" not in proc.stderr.lower() and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("option, figure1", [(["--n-modes", "0"], ""), ([], "N = 0")],
@@ -573,7 +598,7 @@ def test_non_finite_figure1_value_is_input_error(tmp_path, figure1, cause):
     proc = run_cli("figure1", cfg, "--out-dir", out, cwd=tmp_path)
     assert proc.returncode == 3
     assert f"input error: {cfg}: {cause}" in proc.stderr
-    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert "warning" not in proc.stderr.lower() and "Traceback" not in proc.stderr
     assert not out.exists()
 
 
@@ -647,13 +672,39 @@ def _rows(text):
      "run.cfg: n_steps must be an integer, not '1.5'"),
     ("spectrum", "run.cfg", lambda text: text + "\n[figure1]\nN = 2.5\n",
      "run.cfg: [figure1] N must be an integer, not '2.5'"),
+    ("spectrum", "run.cfg", lambda text: text.replace(f"L = {L!r}", "L = abc"),
+     "run.cfg: L must be a number, not 'abc'"),
+    ("spectrum", "run.cfg", lambda text: text.replace("q = 0.0", "q = abc"),
+     "run.cfg: q must be a number, not 'abc'"),
+    ("spectrum", "run.cfg", lambda text: text.replace("q = 0.0", "q = 0.0\ndiffusion = abc"),
+     "run.cfg: diffusion must be a number, not 'abc'"),
+    ("spectrum", "run.cfg", lambda text: text.replace(f"T = {T!r}", "T = abc"),
+     "run.cfg: T must be a number, not 'abc'"),
+    ("spectrum", "run.cfg", lambda text: text.replace("n_times = 9", "n_times = 9\nonset = abc"),
+     "run.cfg: onset must be a number, not 'abc'"),
+    ("spectrum", "run.cfg",
+     lambda text: text.replace("case = average", "case = average\nkappa = abc"),
+     "run.cfg: kappa must be a number, not 'abc'"),
+    ("spectrum", "run.cfg",
+     lambda text: text.replace("case = average", "case = quasi\nepsilon = abc"),
+     "run.cfg: epsilon must be a number, not 'abc'"),
+    ("spectrum", "run.cfg",
+     lambda text: text.replace("case = average", "case = average\nT1 = abc"),
+     "run.cfg: T1 must be a number, not 'abc'"),
+    ("spectrum", "run.cfg", lambda text: text + "\n[figure1]\ndelta = abc\n",
+     "run.cfg: [figure1] delta must be a number, not 'abc'"),
+    ("spectrum", "run.cfg", lambda text: text + "\n[figure1]\nfrequencies = 1, abc\n",
+     "run.cfg: [figure1] frequencies must be a number, not 'abc'"),
 ], ids=["no_config", "no_L", "no_T", "quasi_no_epsilon", "epsilon_zero", "epsilon_beyond_T",
         "table_case_no_table", "unknown_case", "missing_table_file", "grid_csv_header",
         "grid_csv_abscissae", "source_two_columns", "source_partial_block",
         "source_times_decrease", "source_short_of_T", "spectrum_huge_diffusion",
         "oracle_huge_diffusion", "spectrum_huge_table_a", "oracle_huge_table_a",
         "n_steps_below_2", "N_not_an_integer", "n_steps_not_an_integer",
-        "figure1_N_not_an_integer"])
+        "figure1_N_not_an_integer", "L_not_a_number", "q_not_a_number",
+        "diffusion_not_a_number", "T_not_a_number", "onset_not_a_number",
+        "kappa_not_a_number", "epsilon_not_a_number", "T1_not_a_number",
+        "figure1_delta_not_a_number", "frequency_not_a_number"])
 def test_input_error_names_its_cause(small_setup, tmp_path, command, name, change, cause):
     # ``change`` rewrites one input file; None deletes it
     cfg, grid, *_ = small_setup
@@ -674,7 +725,7 @@ def test_input_error_names_its_cause(small_setup, tmp_path, command, name, chang
     proc = run_cli(command, cfg, *data, "--out-dir", out, cwd=tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert cause in proc.stderr and proc.stderr.startswith("input error: ")
-    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert "warning" not in proc.stderr.lower() and "Traceback" not in proc.stderr
     assert not out.exists()
 
 

@@ -38,6 +38,31 @@ def test_evolve_rejects_bad_times(pi_es):
         ha.evolve_homogeneous(e1, 0.2, horizon=T)
 
 
+@pytest.mark.parametrize("times, onset, message", [
+    ([0.0], 0.0, "need at least two time instants"),
+    ([0.0, 0.05, 0.05], 0.0, "time instants must be strictly increasing"),
+    ([0.0, 0.06, 0.05], 0.0, "time instants must be strictly increasing"),
+    ([0.01, T], 0.0, "source tabulation must start at t = 0"),
+    ([0.0, T], -0.01, r"onset must lie in \[0, horizon\]"),
+    ([0.0, T], 0.2, r"onset must lie in \[0, horizon\]"),
+], ids=["one_instant", "repeated_time", "decreasing_time", "late_start", "onset_negative",
+        "onset_beyond_horizon"])
+def test_source_term_rejects_bad_tabulation(pi_es, times, onset, message):
+    values = np.zeros((len(times), pi_es.grid.n_nodes))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ha.SourceTerm.from_grid_history(pi_es.grid, times, values, onset=onset)
+
+
+@pytest.mark.parametrize("with_source, horizon, message", [
+    (False, None, "pass a horizon when there is no source"),
+    (True, 2 * T, "source tabulation does not span the horizon"),
+], ids=["no_source_no_horizon", "source_short_of_horizon"])
+def test_solve_forward_rejects_an_unknown_horizon(pi_es, with_source, horizon, message):
+    src = _const_source(pi_es, 0, 1.0, T) if with_source else None
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ha.solve_forward(ha.basis_vector(pi_es, 0), src, horizon=horizon)
+
+
 def test_semigroup_identity(pi_es):
     rng = np.random.default_rng(3)
     xi = ha.SpectralVector(pi_es, rng.standard_normal(pi_es.n_modes))

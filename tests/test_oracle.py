@@ -168,6 +168,25 @@ def test_config_validation():
         ha.StepperConfig(n_nodes=33, n_steps=1)
 
 
+@pytest.mark.parametrize("n_nodes, horizon, message", [
+    (65, 0.1, "config n_nodes does not match the initial state's grid"),
+    (33, 0.0, "horizon must be positive"),
+    (33, -0.1, "horizon must be positive"),
+], ids=["n_nodes_mismatch", "zero_horizon", "negative_horizon"])
+def test_step_evolution_rejects_bad_arguments(n_nodes, horizon, message):
+    grid = ha.Grid.uniform(1.0, 33)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ha.step_evolution(ha.OperatorSpec.constant(1.0), _first_mode(grid), None, horizon,
+                          ha.StepperConfig(n_nodes=n_nodes, n_steps=16))
+
+
+def test_time_average_rejects_another_horizon():
+    grid = ha.Grid.uniform(1.0, 33)
+    field = ha.SolutionField(grid=grid, times=np.linspace(0.0, 0.1, 9), values=np.zeros((9, 33)))
+    with pytest.raises(ha.BreakpointUnresolved, match="field horizon differs"):
+        ha.time_average(field, ha.WeightSpec.average(0.2))
+
+
 def test_breakpoints_merged_into_time_grid():
     cfg = ha.StepperConfig(n_nodes=33, n_steps=10, breakpoints=(0.033,))
     times = cfg.time_grid(0.1)

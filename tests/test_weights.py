@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import heatavg as ha
+from heatavg.fileio import read_table
 
 T = 0.1
 
@@ -19,6 +20,12 @@ def test_pure_terminal_weight_is_rejected():
     report = ha.WeightSpec.terminal(T, kappa=1.0).validate()
     assert not report.ok
     assert "no T1 with ess inf > 0" in report.violations
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.01, 2 * T, math.nan])
+def test_quasi_boundary_rejects_eps_outside_horizon(eps):
+    with pytest.raises(ValueError, match=r"^eps must lie in \(0, horizon\]$"):
+        ha.WeightSpec.quasi_boundary(T, eps)
 
 
 def test_quasi_boundary_case_is_admissible():
@@ -198,8 +205,8 @@ def test_weight_table_round_trip(tmp_path):
         "\n"
         "0.025 0.1 1.0   # tail\n"
     )
-    pieces = ha.load_weight_table(path)
-    assert pieces == ((0.0, 0.025, 2.5), (0.025, 0.1, 1.0))
+    pieces = read_table(path, "t_start t_end value", "weight table").tolist()
+    assert pieces == [[0.0, 0.025, 2.5], [0.025, 0.1, 1.0]]
     ws = ha.WeightSpec.from_pieces(0.0, pieces, T)
     assert ws.t1 == pytest.approx(T)
     assert ws.validate().ok
@@ -209,17 +216,17 @@ def test_malformed_weight_table_rejected(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text("0.0 0.05\n")
     with pytest.raises(ValueError):
-        ha.load_weight_table(path)
+        read_table(path, "t_start t_end value", "weight table")
     path.write_text("")
     with pytest.raises(ValueError):
-        ha.load_weight_table(path)
+        read_table(path, "t_start t_end value", "weight table")
 
 
 def test_unparsable_weight_table_entry_names_file_and_line(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text("0.0 0.05 1.0\n0.05 0.1 abc\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: .*'abc'"):
-        ha.load_weight_table(path)
+        read_table(path, "t_start t_end value", "weight table")
 
 
 def test_overlapping_pieces_rejected():
