@@ -30,8 +30,6 @@ from .forward import (
     TimeOutOfRange,
     average_from_initial,
     average_from_source,
-    duhamel,
-    evolve_homogeneous,
     solve_forward,
     weighted_average,
 )
@@ -87,8 +85,6 @@ __all__ = [
     "average_from_source",
     "basis_vector",
     "build_eigensystem",
-    "duhamel",
-    "evolve_homogeneous",
     "norm_h2",
     "project",
     "recover_initial",

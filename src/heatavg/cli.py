@@ -136,8 +136,7 @@ def _cmd_forward(cfg: RunConfig, args) -> int:
     es = build_eigensystem(cfg.operator, grid, cfg.n_modes)
     xi = project(read_grid_csv(args.xi_csv, grid), es)
     src = cfg.source_from_csv(args.phi, grid, es=es) if args.phi else None
-    times = np.linspace(0.0, cfg.weight.horizon, cfg.n_times)
-    field = solve_forward(xi, src, times=times, horizon=cfg.weight.horizon)
+    field = solve_forward(xi, src, np.linspace(0.0, cfg.weight.horizon, cfg.n_times))
     write_field_csv(_out_dir(args) / "forward.csv", field)
     print(f"forward.csv written: {cfg.n_times} times x {grid.n_nodes} nodes")
     return EXIT_OK

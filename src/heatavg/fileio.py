@@ -13,10 +13,10 @@ one block of rows per time.  All floats are printed with 17 significant
 digits so files round-trip exactly; one row writer serves every CSV the CLI
 emits.  Reading checks the header line, drops blank and whitespace-only
 lines and parses the rest with ``np.loadtxt`` (comma-delimited, no comment
-character): every row must hold the same number of fields, each a float such
-as ``-1.5e-3``, ``inf`` or ``nan``.  Python's ``_`` digit separators
-(``1_000``) are rejected.  A space-time CSV must repeat the grid's abscissae
-in every block and carry one time per block.  CSV errors name the file.
+character): every row must hold the same number of fields, each a finite
+float such as ``-1.5e-3``.  Python's ``_`` digit separators (``1_000``) are
+rejected.  A space-time CSV must repeat the grid's abscissae in every block
+and carry one time per block.  CSV errors name the file.
 """
 
 from __future__ import annotations
@@ -83,10 +83,13 @@ def _read_csv(path, header_ok, expected: str) -> np.ndarray:
         if first is None:
             return np.empty((0, 0))
         try:
-            return np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None,
+            data = np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None,
                               ndmin=2)
         except ValueError as exc:  # loadtxt's text names the data row, not the file
             raise ValueError(f"{path}: {exc}") from None
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: CSV entries must be finite")
+    return data
 
 
 def _write_csv(path, header: str, keys, blocks) -> None:

@@ -83,11 +83,14 @@ def _phis(z: np.ndarray, order: int) -> list[np.ndarray]:
 
 
 def _freeze_history(record, noun: str) -> None:
-    """Freeze ``times`` and ``values``; check one grid row per time."""
+    """Freeze ``times`` and ``values``; check one grid row per time and
+    times that strictly increase."""
     for name in ("times", "values"):
         object.__setattr__(record, name, _frozen(getattr(record, name)))
     if record.values.shape != (record.times.size, record.grid.n_nodes):
         raise ValueError(f"{noun} values must be (n_times, n_nodes)")
+    if not np.all(np.diff(record.times) > 0.0):
+        raise ValueError("time instants must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -113,8 +116,6 @@ class SourceTerm:
         _freeze_history(self, "source")
         if self.times.ndim != 1 or self.times.size < 2:
             raise ValueError("need at least two time instants")
-        if not np.all(np.diff(self.times) > 0.0):
-            raise ValueError("time instants must be strictly increasing")
         if self.times[0] != 0.0:
             raise ValueError("source tabulation must start at t = 0")
         if not np.all(np.isfinite(self.values)):
@@ -195,7 +196,7 @@ def _trapezoid_in_time(times: np.ndarray, w_mid=1.0) -> np.ndarray:
 @dataclass(frozen=True)
 class SolutionField:
     """Evolution sampled on a space-time grid, one row of grid values per
-    time; an exact slice at any t is ``solve_forward(xi, src, times=[t])``."""
+    time; an exact slice at any t is ``solve_forward(xi, src, [t])``."""
 
     grid: Grid
     times: np.ndarray
@@ -217,21 +218,6 @@ class SolutionField:
         wx = self.grid.trapezoid_weights()
         wt = _trapezoid_in_time(self.times)
         return float(np.sqrt(wt @ ((self.values**2) @ wx)))
-
-
-def evolve_homogeneous(xi: SpectralVector, t: float, horizon: float = math.inf) -> SpectralVector:
-    """Decay the coefficients over time t with no source; raises
-    `MultiplierOverflow` for the first mode whose coefficient is not finite."""
-    return SpectralVector(xi.es, _coeffs_at(xi, None, xi.es, t, horizon)[0])
-
-
-def duhamel(src: SourceTerm, k: int, t: float, es: EigenSystem | None = None) -> float:
-    """Source contribution to mode k at time t (exact for the linear pieces)."""
-    es = es or src.es
-    if es is None:
-        raise ValueError("source has no eigensystem; pass one explicitly")
-    times = _checked_times(t, src.horizon)
-    return float(_duhamel_rows(_knot_states(src, es), es, times)[0, k])
 
 
 def _checked_times(times, horizon: float) -> np.ndarray:
@@ -295,13 +281,11 @@ def _source_average(src: SourceTerm, es: EigenSystem, ws: WeightSpec) -> np.ndar
 _BLOCK_VALUES = 8192
 
 
-def _coeffs_at(alpha: SpectralVector, src: SourceTerm | None, es: EigenSystem,
-               times, horizon: float) -> np.ndarray:
+def _coeffs_at(alpha: SpectralVector, src: SourceTerm | None, times) -> np.ndarray:
     """Field coefficients at each of ``times``, one row per time; raises
     `MultiplierOverflow` for the first mode whose column is not finite."""
-    times = _checked_times(times, horizon)
-    if src is not None:
-        _checked_times(times, src.horizon)
+    es = alpha.es
+    times = _checked_times(times, math.inf if src is None else src.horizon)
     coeffs = np.empty((times.size, es.n_modes))
     rows = max(1, _BLOCK_VALUES // es.n_modes)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -317,22 +301,13 @@ def _coeffs_at(alpha: SpectralVector, src: SourceTerm | None, es: EigenSystem,
     return coeffs
 
 
-def solve_forward(xi: SpectralVector, src: SourceTerm | None = None,
-                  times=None, horizon: float | None = None) -> SolutionField:
-    """Evolve initial coefficients (plus optional source) over [0, horizon];
-    the field holds the grid values at ``times`` (129 uniform by default)."""
-    es = xi.es
-    if horizon is None:
-        if src is None:
-            raise ValueError("pass a horizon when there is no source")
-        horizon = src.horizon
-    if src is not None and abs(src.horizon - horizon) > 1e-12 * horizon:
-        raise ValueError("source tabulation does not span the horizon")
-    if times is None:
-        times = np.linspace(0.0, horizon, 129)
-    times = np.asarray(times, dtype=float)
-    values = _coeffs_at(xi, src, es, times, horizon) @ es.modes
-    return SolutionField(grid=es.grid, times=times, values=values)
+def solve_forward(xi: SpectralVector, src: SourceTerm | None, times) -> SolutionField:
+    """Evolve initial coefficients, driven by ``src`` if given; the field
+    holds the grid values at ``times``, each at least 0 and, with a source,
+    at most its horizon (else `TimeOutOfRange`)."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    values = _coeffs_at(xi, src, times) @ xi.es.modes
+    return SolutionField(grid=xi.es.grid, times=times, values=values)
 
 
 def average_from_initial(xi: SpectralVector, ws: WeightSpec) -> SpectralVector:

@@ -152,7 +152,10 @@ def solve_inverse(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec,
     `recover_initial` gives for the same data and weight; its residual adds
     the source average back to the re-applied multipliers, so it checks the
     algebra up to rounding.  The source average is exact; independent
-    verification of it is the oracle's job.
+    verification of it is the oracle's job.  The field holds ``times``,
+    129 uniform times on [0, horizon] by default.
     """
     rep = _invert(mu, src, ws, es)
-    return solve_forward(rep.xi, src, times=times, horizon=ws.horizon), rep
+    if times is None:
+        times = np.linspace(0.0, ws.horizon, 129)
+    return solve_forward(rep.xi, src, times), rep

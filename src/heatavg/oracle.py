@@ -82,10 +82,10 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
 
     a_mid, a0_nodes = op.sample(grid)
     h = grid.h
-    # Interior difference operator: lower/diag/upper of (a u')' + a0 u.
-    lower = a_mid[1:-1] / h**2
+    # Interior difference operator of (a u')' + a0 u: symmetric tridiagonal,
+    # ``off`` both above and below ``diag``.
+    off = a_mid[1:-1] / h**2
     diag = -(a_mid[:-1] + a_mid[1:]) / h**2 + a0_nodes[1:-1]
-    upper = a_mid[1:-1] / h**2
 
     times = cfg.time_grid(horizon)
     values = np.zeros((times.size, grid.n_nodes))
@@ -102,25 +102,24 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     for n, dt in enumerate(np.diff(times).tolist()):
         if dt not in factors:
             dl = np.zeros(grid.n_nodes - 1)
+            dl[1:-1] = -0.5 * dt * off
+            du = dl.copy()
             d = np.ones(grid.n_nodes)
-            du = np.zeros(grid.n_nodes - 1)
-            du[1:-1] = -0.5 * dt * upper
             d[1:-1] = 1.0 - 0.5 * dt * diag
-            dl[1:-1] = -0.5 * dt * lower
             *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
             if info > 0:
                 raise SingularStep(f"implicit matrix singular at step {n}")
-            # 0.5 * dt * upper * u[1:] evaluates 0.5 * dt * upper first,
+            # 0.5 * dt * off * u[1:] evaluates 0.5 * dt * off first,
             # so caching that product leaves every step's bits unchanged
-            factors[dt] = lu, 0.5 * dt * upper, 0.5 * dt * lower
-        lu, half_upper, half_lower = factors[dt]
+            factors[dt] = lu, 0.5 * dt * off
+        lu, half_off = factors[dt]
         # u + 0.5 dt (diag u), then the off-diagonal terms; the ends stay 0
         u, rhs = values[n, 1:-1], values[n + 1, 1:-1]
         np.multiply(diag, u, out=rhs)
         rhs *= 0.5 * dt
         rhs += u
-        rhs[:-1] += half_upper * u[1:]
-        rhs[1:] += half_lower * u[:-1]
+        rhs[:-1] += half_off * u[1:]
+        rhs[1:] += half_off * u[:-1]
         if src is not None:
             phi_next = next(source_rows)
             rhs += 0.5 * dt * (phi_now + phi_next)

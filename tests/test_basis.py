@@ -208,7 +208,7 @@ def test_grids_are_equal_by_their_pair(pi_es, length, n_nodes, accepted):
     calls = [
         (ha.GridMismatch, lambda: ha.project(f, pi_es)),
         (ha.GridMismatch, lambda: src.coefficients(pi_es)),
-        (ha.GridMismatch, lambda: ha.solve_forward(xi, src)),
+        (ha.GridMismatch, lambda: ha.solve_forward(xi, src, [0.0, 0.1])),
         (ValueError, lambda: ha.step_evolution(pi_es.op, ha.synthesize(xi, pi_es), src, 0.1, cfg)),
     ]
     for error, call in calls:

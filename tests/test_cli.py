@@ -385,7 +385,21 @@ def test_non_finite_source_is_input_error(small_setup, tmp_path, command):
     proc = run_cli(command, cfg, tmp_path / "f.csv", "--phi", tmp_path / "phi.csv",
                    "--out-dir", tmp_path / "out", cwd=tmp_path)
     assert proc.returncode == 3
-    assert "source values must be finite" in proc.stderr and "Traceback" not in proc.stderr
+    assert "phi.csv: CSV entries must be finite" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["forward", "invert", "oracle"])
+def test_non_finite_profile_is_input_error(small_setup, tmp_path, command):
+    # a GridFunction refuses inf, so the entry is edited into the written file
+    cfg, grid, *_ = small_setup
+    profile = tmp_path / "f.csv"
+    write_grid_csv(profile, ha.GridFunction(grid, np.sin(grid.nodes / 2.0)))
+    lines = profile.read_text().splitlines()
+    lines[6] = lines[6].split(",")[0] + ",inf"
+    profile.write_text("\n".join(lines) + "\n")
+    proc = run_cli(command, cfg, profile, "--out-dir", tmp_path / "out", cwd=tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr == f"input error: {profile}: CSV entries must be finite\n"
 
 
 @pytest.mark.parametrize("n_times", [0, 1])

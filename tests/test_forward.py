@@ -18,24 +18,31 @@ def _const_source(es, coeff_index, amplitude, horizon, n_knots=2):
     return ha.SourceTerm.from_modal(es, times, coeffs)
 
 
+def _decay(xi, t):
+    """The source-free evolution of ``xi`` at time t, one row of the kernel."""
+    return ha.SpectralVector(xi.es, forward._coeffs_at(xi, None, [t])[0])
+
+
+def _duhamel(src, es, times):
+    """The source's Duhamel term at ``times``: the kernel's rows from a zero state."""
+    return forward._coeffs_at(ha.SpectralVector(es, np.zeros(es.n_modes)), src, times)
+
+
 def test_evolve_is_identity_at_t0(pi_es):
     e1 = ha.basis_vector(pi_es, 0)
-    out = ha.evolve_homogeneous(e1, 0.0)
+    out = _decay(e1, 0.0)
     assert np.array_equal(out.coeffs, e1.coeffs)
 
 
 def test_evolve_first_mode_decay(pi_es):
-    out = ha.evolve_homogeneous(ha.basis_vector(pi_es, 0), 0.3)
+    out = _decay(ha.basis_vector(pi_es, 0), 0.3)
     assert out.coeffs[0] == pytest.approx(math.exp(-0.3), rel=1e-15)
     assert np.all(out.coeffs[1:] == 0.0)
 
 
 def test_evolve_rejects_bad_times(pi_es):
-    e1 = ha.basis_vector(pi_es, 0)
     with pytest.raises(ha.TimeOutOfRange):
-        ha.evolve_homogeneous(e1, -0.1)
-    with pytest.raises(ha.TimeOutOfRange):
-        ha.evolve_homogeneous(e1, 0.2, horizon=T)
+        ha.solve_forward(ha.basis_vector(pi_es, 0), None, [-0.1])
 
 
 @pytest.mark.parametrize("times, onset, message", [
@@ -53,22 +60,32 @@ def test_source_term_rejects_bad_tabulation(pi_es, times, onset, message):
         ha.SourceTerm.from_grid_history(pi_es.grid, times, values, onset=onset)
 
 
-@pytest.mark.parametrize("with_source, horizon, message", [
-    (False, None, "pass a horizon when there is no source"),
-    (True, 2 * T, "source tabulation does not span the horizon"),
-], ids=["no_source_no_horizon", "source_short_of_horizon"])
-def test_solve_forward_rejects_an_unknown_horizon(pi_es, with_source, horizon, message):
-    src = _const_source(pi_es, 0, 1.0, T) if with_source else None
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        ha.solve_forward(ha.basis_vector(pi_es, 0), src, horizon=horizon)
+@pytest.mark.parametrize("times", [[0.05, 0.05], [0.05, 0.0]],
+                         ids=["repeated_time", "decreasing_time"])
+def test_solution_field_rejects_times_that_do_not_increase(pi_es, times):
+    xi = ha.basis_vector(pi_es, 0)
+    message = "^time instants must be strictly increasing$"
+    with pytest.raises(ValueError, match=message):
+        ha.SolutionField(pi_es.grid, times, np.zeros((2, pi_es.grid.n_nodes)))
+    with pytest.raises(ValueError, match=message):
+        ha.solve_forward(xi, None, times)
+
+
+def test_solve_forward_rejects_a_time_past_its_source(pi_es):
+    src = _const_source(pi_es, 0, 1.0, T)
+    xi = ha.basis_vector(pi_es, 0)
+    with pytest.raises(ha.TimeOutOfRange, match=r"^t = 0\.2 outside \[0, 0\.1\]$"):
+        ha.solve_forward(xi, src, [0.0, 2 * T])
+    # within the 1e-12 relative slack the source's last knot still counts
+    ha.solve_forward(xi, src, [0.0, T * (1.0 + 1e-13)])
 
 
 def test_semigroup_identity(pi_es):
     rng = np.random.default_rng(3)
     xi = ha.SpectralVector(pi_es, rng.standard_normal(pi_es.n_modes))
     for s, t in ((0.0, T), (0.03, 0.08), (0.05, 0.05)):
-        two_step = ha.evolve_homogeneous(ha.evolve_homogeneous(xi, s), t - s)
-        one_step = ha.evolve_homogeneous(xi, t)
+        two_step = _decay(_decay(xi, s), t - s)
+        one_step = _decay(xi, t)
         assert np.max(np.abs(two_step.coeffs - one_step.coeffs)) < 1e-12
 
 
@@ -76,14 +93,15 @@ def test_duhamel_zero_source(pi_es):
     src = ha.SourceTerm.from_modal(pi_es, [0.0, T], np.zeros((2, pi_es.n_modes)))
     for k in (0, 3):
         for t in (0.0, T / 2, T):
-            assert ha.duhamel(src, k, t) == 0.0
+            assert _duhamel(src, pi_es, [t])[0, k] == 0.0
 
 
 def test_duhamel_constant_source_closed_form(pi_es):
     src = _const_source(pi_es, 2, 1.0, T)
     lam = pi_es.lambdas[2]
     for t in (0.02, T):
-        assert ha.duhamel(src, 2, t) == pytest.approx((1 - math.exp(-lam * t)) / lam, rel=1e-13)
+        closed_form = (1 - math.exp(-lam * t)) / lam
+        assert _duhamel(src, pi_es, [t])[0, 2] == pytest.approx(closed_form, rel=1e-13)
 
 
 def test_duhamel_matches_quadrature_oracle(pi_es):
@@ -108,7 +126,7 @@ def test_duhamel_matches_quadrature_oracle(pi_es):
             if hi <= lo:
                 continue
             oracle += fixed_quad(integrand, lo, hi, n=30)[0]
-        assert abs(ha.duhamel(src, k, t_eval) - oracle) < 1e-10
+        assert abs(_duhamel(src, pi_es, [t_eval])[0, k] - oracle) < 1e-10
 
 
 def test_evolve_random_state_matches_oracle_at_default_resolution():
@@ -118,7 +136,7 @@ def test_evolve_random_state_matches_oracle_at_default_resolution():
     es = ha.build_eigensystem(op, grid, 300)
     rng = np.random.default_rng(55)
     xi = ha.SpectralVector(es, rng.standard_normal(300))
-    spectral_final = ha.synthesize(ha.evolve_homogeneous(xi, horizon), es)
+    spectral_final = ha.synthesize(_decay(xi, horizon), es)
     cfg = ha.StepperConfig(n_nodes=1025, n_steps=2048)
     field = ha.step_evolution(op, ha.synthesize(xi, es), None, horizon, cfg)
     err = ha.GridFunction(grid, spectral_final.values - field.values[-1]).norm_l2()
@@ -128,13 +146,13 @@ def test_evolve_random_state_matches_oracle_at_default_resolution():
 
 def test_solve_forward_zero_data(pi_es):
     src = ha.SourceTerm.from_modal(pi_es, [0.0, T], np.zeros((2, pi_es.n_modes)))
-    field = ha.solve_forward(ha.SpectralVector(pi_es, np.zeros(pi_es.n_modes)), src)
+    field = ha.solve_forward(ha.SpectralVector(pi_es, np.zeros(pi_es.n_modes)), src,
+                             np.linspace(0.0, T, 129))
     assert np.all(field.values == 0.0)
 
 
 def test_solve_forward_first_mode(pi_es):
-    field = ha.solve_forward(ha.basis_vector(pi_es, 0), None, horizon=T,
-                             times=np.linspace(0.0, T, 9))
+    field = ha.solve_forward(ha.basis_vector(pi_es, 0), None, np.linspace(0.0, T, 9))
     for j, t in enumerate(field.times):
         expected = math.exp(-t) * pi_es.modes[0]
         assert np.max(np.abs(field.values[j] - expected)) < 1e-14
@@ -143,7 +161,7 @@ def test_solve_forward_first_mode(pi_es):
 def test_solve_forward_duhamel_terminal_coefficient(pi_es):
     src = _const_source(pi_es, 0, 1.0, T)
     zero = ha.SpectralVector(pi_es, np.zeros(pi_es.n_modes))
-    field = ha.solve_forward(zero, src, times=np.array([0.0, T]))
+    field = ha.solve_forward(zero, src, np.array([0.0, T]))
     lam = pi_es.lambdas[0]
     terminal = ha.project(field.slice_at(T), pi_es).coeffs[0]
     assert terminal == pytest.approx((1 - math.exp(-lam * T)) / lam, rel=1e-13)
@@ -152,7 +170,7 @@ def test_solve_forward_duhamel_terminal_coefficient(pi_es):
 def test_field_slices_match_stored_values(pi_es):
     rng = np.random.default_rng(23)
     xi = ha.SpectralVector(pi_es, rng.standard_normal(pi_es.n_modes))
-    field = ha.solve_forward(xi, None, horizon=T)
+    field = ha.solve_forward(xi, None, np.linspace(0.0, T, 129))
     j = 17
     slc = field.slice_at(float(field.times[j]))
     assert np.max(np.abs(slc.values - field.values[j])) < 1e-10
@@ -219,7 +237,7 @@ def test_field_slice_at_a_stored_end_time_is_that_row():
 
 def test_field_slice_at_arbitrary_time(pi_es):
     t = 0.0678  # between the default stored times; a field evaluated at t alone is exact
-    field = ha.solve_forward(ha.basis_vector(pi_es, 0), None, times=[t], horizon=T)
+    field = ha.solve_forward(ha.basis_vector(pi_es, 0), None, [t])
     expected = math.exp(-t) * math.sqrt(2.0 / np.pi) * np.sin(pi_es.grid.nodes)
     assert np.max(np.abs(field.slice_at(t).values - expected)) < 1e-13
 
@@ -334,7 +352,7 @@ def test_onset_must_precede_horizon_with_terminal_weight(pi_es):
 def test_energy_decay_without_source(pi_es):
     rng = np.random.default_rng(31)
     xi = ha.SpectralVector(pi_es, rng.standard_normal(pi_es.n_modes))
-    norms = [np.linalg.norm(ha.evolve_homogeneous(xi, t).coeffs) for t in np.linspace(0.0, T, 129)]
+    norms = [np.linalg.norm(_decay(xi, t).coeffs) for t in np.linspace(0.0, T, 129)]
     assert np.all(np.diff(norms) <= 1e-15)
 
 
@@ -392,9 +410,9 @@ def test_source_average_matches_fine_quadrature_of_duhamel(zero_mode_case):
     exact = ha.average_from_source(src, ws).coeffs
     for k in (0, 1, 5, 11):
         def integrand(ts):
-            return ws.value_at(ts) * np.array([ha.duhamel(src, k, t) for t in ts])
+            return ws.value_at(ts) * _duhamel(src, es, ts)[:, k]
 
-        reference = ws.kappa * ha.duhamel(src, k, T) + _pieces_quad(integrand, breaks, T)
+        reference = ws.kappa * _duhamel(src, es, [T])[0, k] + _pieces_quad(integrand, breaks, T)
         assert exact[k] == pytest.approx(reference, rel=1e-10)
 
 
@@ -403,8 +421,8 @@ def test_solve_forward_off_knot_times_match_duhamel(zero_mode_case):
     coeffs = src.coefficients(es)
     times = np.array([0.0, 0.004, 0.013, 0.0275, 0.069, 0.0855, T])
     zero = ha.SpectralVector(es, np.zeros(es.n_modes))
-    field_coeffs = forward._coeffs_at(zero, src, es, times, T)
-    assert np.array_equal(ha.solve_forward(zero, src, times=times).values, field_coeffs @ es.modes)
+    field_coeffs = forward._coeffs_at(zero, src, times)
+    assert np.array_equal(ha.solve_forward(zero, src, times).values, field_coeffs @ es.modes)
     for k in (0, 1, 5, 11):
         lam = es.lambdas[k]
         for j, t in enumerate(times):
@@ -412,8 +430,9 @@ def test_solve_forward_off_knot_times_match_duhamel(zero_mode_case):
                 return np.interp(s, knots, coeffs[:, k]) * np.exp(-lam * (t - s))
 
             reference = _pieces_quad(integrand, knots, t)
-            assert ha.duhamel(src, k, t) == pytest.approx(reference, rel=1e-12, abs=1e-15)
-            assert field_coeffs[j, k] == pytest.approx(ha.duhamel(src, k, t), rel=1e-14, abs=1e-16)
+            at_t = _duhamel(src, es, [t])[0, k]
+            assert at_t == pytest.approx(reference, rel=1e-12, abs=1e-15)
+            assert field_coeffs[j, k] == pytest.approx(at_t, rel=1e-14, abs=1e-16)
 
 
 @pytest.mark.parametrize("with_source", [False, True], ids=["initial", "source"])
@@ -424,14 +443,16 @@ def test_solve_forward_overflow_raises_named_error(with_source):
     xi = ha.SpectralVector(es, np.zeros(8) if with_source else np.ones(8))
     src = _const_source(es, 0, 1.0, T) if with_source else None
     with pytest.raises(ha.MultiplierOverflow, match="mode 1 ") as exc:
-        ha.solve_forward(xi, src, times=np.linspace(0.0, T, 5), horizon=T)
+        ha.solve_forward(xi, src, np.linspace(0.0, T, 5))
     assert exc.value.mode == 1
 
 
+# besides the source average, the kernel's two parts alone: the source-free
+# evolution of unit coefficients and the Duhamel term from a zero state
 _OVERFLOW_CALLS = {
     "average_from_source": lambda es, src: ha.average_from_source(src, ha.WeightSpec.average(T), es),
-    "evolve_homogeneous": lambda es, src: ha.evolve_homogeneous(ha.SpectralVector(es, np.ones(8)), T),
-    "duhamel": lambda es, src: ha.duhamel(src, 0, T, es),
+    "evolve_homogeneous": lambda es, src: _decay(ha.SpectralVector(es, np.ones(8)), T),
+    "duhamel": lambda es, src: _duhamel(src, es, [T]),
 }
 
 
@@ -527,10 +548,10 @@ def test_forward_kernel_matches_unblocked_reference_bit_for_bit(bits_case, n_tim
         driven = _reference_coeffs_at(xi, src, es, times)
         averages = [forward._source_average(src, es, ws) for ws in _BITS_WEIGHTS]
     for s, want in ((None, decay), (src, driven)):
-        _assert_same_bits(forward._coeffs_at(xi, s, es, times, T), want)
-        _assert_same_bits(ha.solve_forward(xi, s, times=times, horizon=T).values, want @ es.modes)
-        exact_slice = ha.solve_forward(xi, s, times=times[-1:], horizon=T)
+        _assert_same_bits(forward._coeffs_at(xi, s, times), want)
+        _assert_same_bits(ha.solve_forward(xi, s, times).values, want @ es.modes)
+        exact_slice = ha.solve_forward(xi, s, times[-1:])
         _assert_same_bits(exact_slice.values, want[-1:] @ es.modes)
-    _assert_same_bits(ha.evolve_homogeneous(xi, times[-1]).coeffs, decay[-1])
+    _assert_same_bits(_decay(xi, times[-1]).coeffs, decay[-1])
     for ws, average in zip(_BITS_WEIGHTS, averages):
         _assert_same_bits(ha.average_from_source(src, ws).coeffs, average)

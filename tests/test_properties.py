@@ -1,13 +1,20 @@
 """Generated-input properties of the operator, the weight contract, the
-multiplier band and the inversion (round trip and linearity).
+multiplier band, the inversion (round trip and linearity), the CSV files
+(bit-exact round trip) and the CLI's exit codes on malformed input.
 Deterministic: derandomized, with no example database."""
+
+import contextlib
+import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import heatavg as ha
+from heatavg import cli
+from heatavg.fileio import read_grid_csv, read_space_time_csv, write_field_csv, write_grid_csv
 
 PROFILE = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -130,3 +137,97 @@ def test_solve_inverse_is_linear_in_data_and_source(es, ws, rng, a, b):
         assert np.linalg.norm(got - (a * one + b * two)) <= 1e-10 * scale
     for xi, rep in zip(xis, (r1, r2)):
         assert np.linalg.norm(rep.xi.coeffs - xi.coeffs) <= 1e-10 * np.linalg.norm(xi.coeffs)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGES = [-0.0, 5e-324, -2.5e-308, 1.7e308, -1.7e308]  # subnormals and near-overflow values
+
+
+@st.composite
+def csv_cases(draw):
+    """A grid of at most 65 nodes, a profile on it, and a field on strictly
+    increasing times; every entry a finite double, edge values mixed in."""
+    grid = ha.Grid.uniform(draw(st.floats(1e-3, 1e3)), draw(st.integers(3, 65)))
+    cells = FINITE | st.sampled_from(EDGES)
+    profile = draw(arrays(float, grid.n_nodes, elements=cells))
+    times = np.array(sorted(draw(st.lists(FINITE, min_size=1, max_size=4, unique=True))))
+    rows = draw(arrays(float, (times.size, grid.n_nodes), elements=cells))
+    return grid, profile, times, rows
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@SMALL
+@given(case=csv_cases())
+@example(case=(ha.Grid.uniform(1.0, 5), np.array(EDGES), np.array([-0.0, 5e-324, 1.7e308]),
+               np.array([EDGES, EDGES[::-1], EDGES])))
+def test_csv_writers_and_readers_round_trip_bit_for_bit(tmp_path_factory, case):
+    grid, profile, times, rows = case
+    out = tmp_path_factory.mktemp("csv")
+    write_grid_csv(out / "profile.csv", ha.GridFunction(grid, profile))
+    assert _same_bits(read_grid_csv(out / "profile.csv", grid).values, profile)
+    write_field_csv(out / "field.csv", ha.SolutionField(grid, times, rows))
+    back_times, back_rows = read_space_time_csv(out / "field.csv", grid)
+    assert _same_bits(back_times, times) and _same_bits(back_rows, rows)
+
+
+# A small valid run; one of its values, or one line of an input CSV, is
+# replaced by generated text.  Generated config text holds no digits, so no
+# count can grow large; the listed tokens cover numbers at their edges.
+_CONFIG = {
+    ("operator", "L"): "3.0", ("operator", "q"): "0.5", ("operator", "diffusion"): "1.3",
+    ("weight", "case"): "quasi", ("weight", "epsilon"): "0.02", ("weight", "kappa"): "1",
+    ("run", "T"): "0.1", ("run", "N"): "5", ("run", "n_nodes"): "17", ("run", "n_steps"): "4",
+    ("run", "n_times"): "3", ("run", "onset"): "0",
+    ("figure1", "delta"): "0.1", ("figure1", "frequencies"): "1, 3", ("figure1", "N"): "4",
+}
+_TOKENS = ["", " ", "nan", "-inf", "inf", "1e400", "1e-400", "-1", "0", "1", "2", "2.5", "1_0",
+           "１", "0x1f", "--1", "1,2", "#", "= 1", "[run]", "table", "zero", "average"]
+_CONFIG_TEXT = st.sampled_from(_TOKENS) | st.text(
+    st.characters(exclude_categories=("Nd", "Cs")), max_size=8)
+_CSV_LINE = (st.sampled_from(["", ",", "0,0", "0,nan", "1,inf,2", "x,value", "0;0", "0,0,0,0"])
+             | st.text("0123456789.,-+eEinfa \t", max_size=30))
+
+
+def _config_text(values: dict, extra: str | None, at: int) -> str:
+    lines = []
+    for section in ("operator", "weight", "run", "figure1"):
+        lines.append(f"[{section}]")
+        lines.extend(f"{key} = {value}" for (sec, key), value in values.items() if sec == section)
+    if extra is not None:
+        lines.insert(at % (len(lines) + 1), extra)
+    return "\n".join(lines) + "\n"
+
+
+@SMALL
+@given(command=st.sampled_from(["spectrum", "forward", "invert", "oracle", "figure1"]),
+       with_phi=st.booleans(), key=maybe(st.sampled_from(sorted(_CONFIG))),
+       value=_CONFIG_TEXT, extra=maybe(_CONFIG_TEXT), csv=st.sampled_from(["f.csv", "phi.csv"]),
+       line=maybe(_CSV_LINE), at=st.integers(0, 80))
+def test_malformed_input_exits_with_a_documented_code(tmp_path_factory, command, with_phi, key,
+                                                      value, extra, csv, line, at):
+    out = tmp_path_factory.mktemp("cli")
+    values = dict(_CONFIG)
+    if key is not None:
+        values[key] = value
+    (out / "run.cfg").write_text(_config_text(values, extra, at))
+    grid = ha.Grid.uniform(3.0, 17)
+    write_grid_csv(out / "f.csv", ha.GridFunction(grid, np.sin(np.pi / 3.0 * grid.nodes)))
+    times = np.linspace(0.0, 0.1, 3)
+    write_field_csv(out / "phi.csv",
+                    ha.SolutionField(grid, times, np.outer(1.0 + times, np.sin(grid.nodes))),
+                    column="phi")
+    if line is not None:
+        rows = (out / csv).read_text().splitlines()
+        rows[at % len(rows)] = line
+        (out / csv).write_text("\n".join(rows) + "\n")
+    argv = [command, str(out / "run.cfg"), "--out-dir", str(out / "out")]
+    if command in ("forward", "invert", "oracle"):
+        argv.insert(2, str(out / "f.csv"))
+        if with_phi:
+            argv += ["--phi", str(out / "phi.csv")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4)
