@@ -24,7 +24,6 @@ from .basis import (
     synthesize,
 )
 from .forward import (
-    OnsetInvalid,
     SolutionField,
     SourceTerm,
     TimeOutOfRange,
@@ -69,7 +68,6 @@ __all__ = [
     "InverseReport",
     "MultiplierOverflow",
     "NonElliptic",
-    "OnsetInvalid",
     "OperatorSpec",
     "SingularStep",
     "SolutionField",

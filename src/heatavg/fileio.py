@@ -2,7 +2,7 @@
 
 Configs are ini-style key = value files with sections [operator], [weight],
 [run], and [figure1]; '#' starts a comment.  A numeric value that is not a
-number (or not an integer, for a count) is named with its key and the file.
+finite number (or an integer, for a count) is named with its key and file.
 A table (``coeff_table``: ``x a a0``; weight ``table``: ``t_start t_end
 value``) has one row of whitespace-separated finite floats per line, '#'
 comments and blank lines skipped; its errors name the file and 1-based line.
@@ -140,7 +140,6 @@ class RunConfig:
     n_nodes: int
     n_steps: int
     n_times: int
-    onset: float
     delta: float
     frequencies: tuple[float, ...]
     fig_n_modes: int | None
@@ -156,7 +155,7 @@ class RunConfig:
         t = np.array(times)
         t[0] = 0.0
         t[-1] = horizon
-        return SourceTerm.from_grid_history(grid, t, values, onset=self.onset, es=es)
+        return SourceTerm.from_grid_history(grid, t, values, es=es)
 
 
 def load_config(path) -> RunConfig:
@@ -170,9 +169,10 @@ def load_config(path) -> RunConfig:
         raise ValueError(f"{path}: [operator] section with L is required")
     op_sec = parser["operator"]
     length = _number(path, "L", op_sec["L"])
+    if length <= 0.0:
+        raise ValueError(f"{path}: L must be positive")
     if "coeff_table" in op_sec:
         table = _resolve(path, op_sec["coeff_table"])
-        OperatorSpec.constant(length)  # checks L first, so its errors do not name the table
         data = read_table(table, "x a a0", "coefficient table")
         try:  # from_table's texts do not name the file
             operator = OperatorSpec.from_table(length, *data.T)
@@ -187,22 +187,14 @@ def load_config(path) -> RunConfig:
         raise ValueError(f"{path}: [run] section with T is required")
     run = parser["run"]
     horizon = _number(path, "T", run["T"])
-    if not 0.0 < horizon < math.inf:
-        raise ValueError(f"{path}: T must be positive and finite")
+    if horizon <= 0.0:
+        raise ValueError(f"{path}: T must be positive")
     n_times = _number(path, "n_times", run.get("n_times", "129"), int, minimum=2)
     n_nodes = _number(path, "n_nodes", run.get("n_nodes", "1025"), int, minimum=3)
 
     weight = _load_weight(parser, path, horizon)
 
     fig = parser["figure1"] if "figure1" in parser else {}
-    frequencies = tuple(_number(path, "[figure1] frequencies", f)
-                        for f in fig.get("frequencies", "1, 3").replace(",", " ").split())
-    delta = _number(path, "[figure1] delta", fig.get("delta", "0.1"))
-    if not all(map(math.isfinite, frequencies)):
-        raise ValueError(f"{path}: [figure1] frequencies must be finite")
-    if not math.isfinite(delta):
-        raise ValueError(f"{path}: [figure1] delta must be finite, not {delta:g}")
-
     return RunConfig(
         operator=operator,
         weight=weight,
@@ -210,23 +202,25 @@ def load_config(path) -> RunConfig:
         n_nodes=n_nodes,
         n_steps=_number(path, "n_steps", run.get("n_steps", "2048"), int, minimum=2),
         n_times=n_times,
-        onset=_number(path, "onset", run.get("onset", "0")),
-        delta=delta,
-        frequencies=frequencies,
+        delta=_number(path, "[figure1] delta", fig.get("delta", "0.1")),
+        frequencies=tuple(_number(path, "[figure1] frequencies", f)
+                          for f in fig.get("frequencies", "1, 3").replace(",", " ").split()),
         fig_n_modes=_number(path, "[figure1] N", fig["N"], int) if "N" in fig else None,
     )
 
 
 def _number(path: Path, key: str, raw: str, kind=float, minimum: int | None = None):
-    """``raw``, the text of config key ``key``, as a ``kind`` (float or int).
-    Text that is not one, or a value below ``minimum``, is named with the key
-    and the file; other range checks stay with the value's user (a mode
-    count's with `build_eigensystem`)."""
+    """``raw``, the text of config key ``key``, as a finite ``kind`` (float or
+    int).  Text that is not one, a non-finite value, or a value below
+    ``minimum`` is named with the key and the file; other range checks stay
+    with the value's user (a mode count's with `build_eigensystem`)."""
     try:
         value = kind(raw)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ValueError(f"{path}: {key} must be {noun}, not '{raw}'") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: {key} must be finite, not {value:g}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{path}: {key} must be at least {minimum}, not {value}")
     return value
@@ -253,8 +247,12 @@ def _load_weight(parser: configparser.ConfigParser, path: Path, horizon: float) 
     if case == "table":
         if "table" not in sec:
             raise ValueError(f"{path}: the table weight case needs 'table'")
-        pieces = read_table(_resolve(path, sec["table"]), "t_start t_end value", "weight table")
-        return WeightSpec.from_pieces(kappa, pieces.tolist(), horizon, t1)
+        table = _resolve(path, sec["table"])
+        pieces = read_table(table, "t_start t_end value", "weight table")
+        try:  # the record's texts do not name the file
+            return WeightSpec.from_pieces(kappa, pieces.tolist(), horizon, t1)
+        except ValueError as exc:
+            raise ValueError(f"{table}: {exc}") from None
     raise ValueError(f"{path}: unknown weight case '{case}'")
 
 

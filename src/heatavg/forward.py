@@ -44,10 +44,6 @@ class TimeOutOfRange(ValueError):
     """Requested instant lies outside [0, horizon]."""
 
 
-class OnsetInvalid(ValueError):
-    """Terminal weighting requires the source to be regular strictly before the horizon."""
-
-
 _PHI_SERIES_CUTOFF = 1.0
 _PHI_SERIES_TERMS = 20  # truncation below 1/21! relative for |z| < 1
 # _PHI_SERIES[k - 1, j] = 1/(j + k)!, the Taylor coefficients of phi_1 .. phi_3
@@ -83,10 +79,11 @@ def _phis(z: np.ndarray, order: int) -> list[np.ndarray]:
 
 
 def _freeze_history(record, noun: str) -> None:
-    """Freeze ``times`` and ``values``; check one grid row per time and
-    times that strictly increase."""
+    """Freeze ``times`` and ``values``; check 1-D increasing times, one grid row each."""
     for name in ("times", "values"):
         object.__setattr__(record, name, _frozen(getattr(record, name)))
+    if record.times.ndim != 1:
+        raise ValueError("time instants must be one-dimensional")
     if record.values.shape != (record.times.size, record.grid.n_nodes):
         raise ValueError(f"{noun} values must be (n_times, n_nodes)")
     if not np.all(np.diff(record.times) > 0.0):
@@ -99,29 +96,25 @@ class SourceTerm:
 
     Grid samples (``values``) are the one stored history and what the
     finite-difference oracle consumes; given ``es``, the term projects them
-    once into ``coeffs``, its coefficient rows in that basis.
-    ``onset`` marks the time from which the source is treated as
-    differentiable in time; it must lie strictly before the horizon whenever
-    the measurement weights the terminal slice.
+    once into ``coeffs``, its coefficient rows in that basis.  A source is
+    linear on its last knot interval, so it is smooth up to the horizon, as a
+    terminal weight (``kappa != 0``) needs.
     """
 
     grid: Grid
     times: np.ndarray
     values: np.ndarray
-    onset: float = 0.0
     es: EigenSystem | None = None
     coeffs: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _freeze_history(self, "source")
-        if self.times.ndim != 1 or self.times.size < 2:
+        if self.times.size < 2:
             raise ValueError("need at least two time instants")
         if self.times[0] != 0.0:
             raise ValueError("source tabulation must start at t = 0")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("source values must be finite")
-        if not 0.0 <= self.onset <= self.horizon:
-            raise ValueError("onset must lie in [0, horizon]")
         if self.es is not None:
             object.__setattr__(self, "coeffs", _frozen(self.coefficients(self.es)))
 
@@ -130,19 +123,19 @@ class SourceTerm:
         return float(self.times[-1])
 
     @classmethod
-    def from_callable(cls, grid: Grid, fn: Callable, times, onset: float = 0.0,
+    def from_callable(cls, grid: Grid, fn: Callable, times,
                       es: EigenSystem | None = None) -> "SourceTerm":
         times = np.asarray(times, dtype=float)
         values = np.array([np.asarray(fn(grid.nodes, t), dtype=float) for t in times])
-        return cls.from_grid_history(grid, times, values, onset=onset, es=es)
+        return cls.from_grid_history(grid, times, values, es=es)
 
     @classmethod
-    def from_grid_history(cls, grid: Grid, times, values, onset: float = 0.0,
+    def from_grid_history(cls, grid: Grid, times, values,
                           es: EigenSystem | None = None) -> "SourceTerm":
-        return cls(grid=grid, times=times, values=values, onset=onset, es=es)
+        return cls(grid=grid, times=times, values=values, es=es)
 
     @classmethod
-    def from_modal(cls, es: EigenSystem, times, coeffs, onset: float = 0.0) -> "SourceTerm":
+    def from_modal(cls, es: EigenSystem, times, coeffs) -> "SourceTerm":
         """Build from per-instant coefficient rows in the given eigenbasis: the
         rows are synthesized into grid samples, which the term projects back."""
         coeffs = np.asarray(coeffs, dtype=float)
@@ -150,7 +143,7 @@ class SourceTerm:
             raise ValueError(f"source coefficients of shape {coeffs.shape} are not rows "
                              f"of the eigensystem's {es.n_modes} modes")
         values = coeffs @ es.modes
-        return cls(grid=es.grid, times=times, values=values, onset=onset, es=es)
+        return cls(grid=es.grid, times=times, values=values, es=es)
 
     def coefficients(self, es: EigenSystem) -> np.ndarray:
         """Per-instant expansion of the source in ``es``; rows follow ``times``."""
@@ -326,8 +319,6 @@ def average_from_source(src: SourceTerm, ws: WeightSpec,
     es = es or src.es
     if es is None:
         raise ValueError("source has no eigensystem; pass one explicitly")
-    if ws.kappa != 0.0 and src.onset >= ws.horizon:
-        raise OnsetInvalid("terminal weighting requires onset < horizon")
     return SpectralVector(es, _source_average(src, es, ws))
 
 
@@ -335,7 +326,6 @@ def weighted_average(xi: SpectralVector, ws: WeightSpec,
                      src: SourceTerm | None = None) -> SpectralVector:
     """Apply the averaged measurement to the evolution from ``xi`` driven by
     ``src``, exactly: the sum of `average_from_initial` and
-    `average_from_source`, which raises `OnsetInvalid` for a source whose
-    onset is not before the horizon."""
+    `average_from_source`."""
     source = 0.0 if src is None else average_from_source(src, ws, xi.es).coeffs
     return SpectralVector(xi.es, average_from_initial(xi, ws).coeffs + source)

@@ -86,7 +86,7 @@ class WeightSpec:
 
     ``pieces`` is a sorted tuple of (start, end, value) with disjoint
     interiors; gaps count as value 0.  ``t1`` witnesses admissibility: the
-    weight must be positive on all of [0, t1].
+    weight must be positive on all of [0, t1]; unset, it is inferred.
     """
 
     kappa: float
@@ -115,6 +115,7 @@ class WeightSpec:
                 raise ValueError("weight pieces must not overlap")
             prev_end = e
         object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "t1", self._inferred_t1() if self.t1 is None else float(self.t1))
 
     # -- constructors -------------------------------------------------------
 
@@ -122,7 +123,7 @@ class WeightSpec:
     def average(cls, horizon: float, kappa: float = 0.0, t1: float | None = None) -> "WeightSpec":
         """Running average (w = 1 on the whole horizon) plus kappa times u(T)."""
         return cls(kappa=float(kappa), pieces=((0.0, float(horizon), 1.0),),
-                   horizon=float(horizon), t1=float(horizon if t1 is None else t1))
+                   horizon=float(horizon), t1=t1)
 
     @classmethod
     def quasi_boundary(cls, horizon: float, eps: float, kappa: float = 1.0,
@@ -131,20 +132,17 @@ class WeightSpec:
         if not 0.0 < eps <= horizon:
             raise ValueError("eps must lie in (0, horizon]")
         return cls(kappa=float(kappa), pieces=((0.0, float(eps), 1.0),),
-                   horizon=float(horizon), t1=float(eps if t1 is None else t1))
+                   horizon=float(horizon), t1=t1)
 
     @classmethod
     def terminal(cls, horizon: float, kappa: float = 1.0) -> "WeightSpec":
         """Pure terminal measurement (w = 0); never admissible."""
-        return cls(kappa=float(kappa), pieces=(), horizon=float(horizon), t1=None)
+        return cls(kappa=float(kappa), pieces=(), horizon=float(horizon))
 
     @classmethod
     def from_pieces(cls, kappa: float, pieces, horizon: float,
                     t1: float | None = None) -> "WeightSpec":
-        ws = cls(kappa=float(kappa), pieces=tuple(pieces), horizon=float(horizon), t1=t1)
-        if t1 is None:
-            object.__setattr__(ws, "t1", ws._inferred_t1())
-        return ws
+        return cls(kappa=float(kappa), pieces=tuple(pieces), horizon=float(horizon), t1=t1)
 
     # -- piecewise evaluation -----------------------------------------------
 
@@ -163,7 +161,8 @@ class WeightSpec:
                 covered = e
 
     def _inferred_t1(self) -> float | None:
-        """Largest prefix [0, t] covered by contiguous positive pieces."""
+        """The default ``t1``: the end of the longest prefix [0, t] that positive
+        pieces cover without a gap, or None when there is none."""
         t = 0.0
         for e, v, _ in self._contiguous():
             if v <= 0.0:

@@ -230,6 +230,44 @@ def test_grid_function_rejects_bad_values(pi_es, values, message):
         ha.GridFunction(pi_es.grid, values)
 
 
+@pytest.mark.parametrize("length, q, diffusion, cause", [
+    (math.nan, 0.0, 1.0, "interval length must be finite, not nan"),
+    (math.inf, 0.0, 1.0, "interval length must be finite, not inf"),
+    (1.0, -math.inf, 1.0, "q must be finite, not -inf"),
+    (1.0, 0.0, math.nan, "diffusion must be finite, not nan"),
+], ids=["length_nan", "length_inf", "q_-inf", "diffusion_nan"])
+def test_constant_operator_rejects_non_finite_values(length, q, diffusion, cause):
+    with pytest.raises(ValueError, match=f"^{cause}$"):
+        ha.OperatorSpec.constant(length, q=q, diffusion=diffusion)
+
+
+@pytest.mark.parametrize("x, a, a0, message", [
+    ([0.0, 1.0], [1.0], [0.0, 0.0], "coefficient tables must match the abscissae"),
+    ([0.0, 1.0], [1.0, 1.0], [[0.0, 0.0]], "coefficient tables must match the abscissae"),
+    ([0.0, math.nan], [1.0, 1.0], [0.0, 0.0], "coefficient table entries must be finite"),
+    ([0.0, 1.0], [1.0, 1.0], [0.0, -math.inf], "coefficient table entries must be finite"),
+], ids=["short_a", "a0_not_a_column", "x_nan", "a0_-inf"])
+def test_coefficient_table_rejects_bad_columns(x, a, a0, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ha.OperatorSpec.from_table(1.0, x, a, a0)
+
+
+@pytest.mark.parametrize("a, a0", [
+    (lambda x: np.where(x > 0.9, np.inf, 1.0), np.zeros_like),
+    (np.ones_like, lambda x: np.where(x > 0.9, np.nan, 0.0)),
+], ids=["a_inf", "a0_nan"])
+def test_coefficient_callables_must_be_finite_on_the_grid(a, a0):
+    op = ha.OperatorSpec.from_callables(1.0, a, a0)
+    with pytest.raises(ValueError, match="^operator coefficients must be finite on the grid$"):
+        ha.build_eigensystem(op, ha.Grid.uniform(1.0, 17), 3)
+
+
+@pytest.mark.parametrize("shape", [(21,), (1, 20)], ids=["a_mode_too_many", "a_row"])
+def test_spectral_vector_needs_one_coefficient_per_mode(pi_es, shape):
+    with pytest.raises(ValueError, match="^coefficient count does not match the eigensystem$"):
+        ha.SpectralVector(pi_es, np.zeros(shape))
+
+
 def test_eigensystem_rejects_a_grid_of_another_length():
     with pytest.raises(ha.GridMismatch, match="grid does not span the operator's interval"):
         ha.build_eigensystem(ha.OperatorSpec.constant(np.pi), ha.Grid.uniform(3.0, 65), 5)

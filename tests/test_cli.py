@@ -427,18 +427,19 @@ def test_too_few_nodes_is_input_error(tmp_path, n_nodes):
 
 
 @pytest.mark.parametrize("old, new, cause", [
-    (f"T = {T!r}", "T = nan", "T must be positive and finite"),
-    (f"T = {T!r}", "T = inf", "T must be positive and finite"),
-    ("case = average", "case = average\nkappa = nan", "kappa must be finite"),
-    ("q = 0.0", "q = nan", "q must be finite, not nan"),
-    ("q = 0.0", "q = inf", "q must be finite, not inf"),
-    ("q = 0.0", "q = -inf", "q must be finite, not -inf"),
-    ("q = 0.0", "q = 0.0\ndiffusion = nan", "diffusion must be finite, not nan"),
-    ("q = 0.0", "q = 0.0\ndiffusion = inf", "diffusion must be finite, not inf"),
-    (f"L = {L!r}", "L = nan", "interval length must be finite, not nan"),
-    (f"L = {L!r}", "L = inf", "interval length must be finite, not inf"),
-], ids=["T_nan", "T_inf", "kappa_nan", "q_nan", "q_inf", "q_minus_inf", "diffusion_nan",
-        "diffusion_inf", "L_nan", "L_inf"])
+    (f"T = {T!r}", "T = nan", "run.cfg: T must be finite, not nan"),
+    (f"T = {T!r}", "T = inf", "run.cfg: T must be finite, not inf"),
+    ("case = average", "case = average\nkappa = nan", "run.cfg: kappa must be finite, not nan"),
+    ("case = average", "case = average\nkappa = inf", "run.cfg: kappa must be finite, not inf"),
+    ("q = 0.0", "q = nan", "run.cfg: q must be finite, not nan"),
+    ("q = 0.0", "q = inf", "run.cfg: q must be finite, not inf"),
+    ("q = 0.0", "q = -inf", "run.cfg: q must be finite, not -inf"),
+    ("q = 0.0", "q = 0.0\ndiffusion = nan", "run.cfg: diffusion must be finite, not nan"),
+    ("q = 0.0", "q = 0.0\ndiffusion = inf", "run.cfg: diffusion must be finite, not inf"),
+    (f"L = {L!r}", "L = nan", "run.cfg: L must be finite, not nan"),
+    (f"L = {L!r}", "L = inf", "run.cfg: L must be finite, not inf"),
+], ids=["T_nan", "T_inf", "kappa_nan", "kappa_inf", "q_nan", "q_inf", "q_minus_inf",
+        "diffusion_nan", "diffusion_inf", "L_nan", "L_inf"])
 def test_non_finite_config_is_input_error(tmp_path, old, new, cause):
     cfg = write_config(tmp_path / "run.cfg")
     cfg.write_text(cfg.read_text().replace(old, new))
@@ -694,8 +695,8 @@ def _rows(text):
      "run.cfg: diffusion must be a number, not 'abc'"),
     ("spectrum", "run.cfg", lambda text: text.replace(f"T = {T!r}", "T = abc"),
      "run.cfg: T must be a number, not 'abc'"),
-    ("spectrum", "run.cfg", lambda text: text.replace("n_times = 9", "n_times = 9\nonset = abc"),
-     "run.cfg: onset must be a number, not 'abc'"),
+    ("spectrum", "run.cfg", lambda text: text.replace(f"T = {T!r}", "T = 0.0"),
+     "run.cfg: T must be positive"),
     ("spectrum", "run.cfg",
      lambda text: text.replace("case = average", "case = average\nkappa = abc"),
      "run.cfg: kappa must be a number, not 'abc'"),
@@ -709,6 +710,9 @@ def _rows(text):
      "run.cfg: [figure1] delta must be a number, not 'abc'"),
     ("spectrum", "run.cfg", lambda text: text + "\n[figure1]\nfrequencies = 1, abc\n",
      "run.cfg: [figure1] frequencies must be a number, not 'abc'"),
+    ("spectrum", "run.cfg",
+     lambda text: text.replace("case = average", "case = table\ntable = overlap.txt"),
+     "overlap.txt: weight pieces must not overlap"),
 ], ids=["no_config", "no_L", "no_T", "quasi_no_epsilon", "epsilon_zero", "epsilon_beyond_T",
         "table_case_no_table", "unknown_case", "missing_table_file", "grid_csv_header",
         "grid_csv_abscissae", "source_two_columns", "source_partial_block",
@@ -716,13 +720,14 @@ def _rows(text):
         "oracle_huge_diffusion", "spectrum_huge_table_a", "oracle_huge_table_a",
         "n_steps_below_2", "N_not_an_integer", "n_steps_not_an_integer",
         "figure1_N_not_an_integer", "L_not_a_number", "q_not_a_number",
-        "diffusion_not_a_number", "T_not_a_number", "onset_not_a_number",
-        "kappa_not_a_number", "epsilon_not_a_number", "T1_not_a_number",
-        "figure1_delta_not_a_number", "frequency_not_a_number"])
+        "diffusion_not_a_number", "T_not_a_number", "T_not_positive", "kappa_not_a_number",
+        "epsilon_not_a_number", "T1_not_a_number", "figure1_delta_not_a_number",
+        "frequency_not_a_number", "overlapping_weight_table"])
 def test_input_error_names_its_cause(small_setup, tmp_path, command, name, change, cause):
     # ``change`` rewrites one input file; None deletes it
     cfg, grid, *_ = small_setup
     (tmp_path / "big_a.txt").write_text("0.0 1e306 0.0\n7.0 1e306 0.0\n")
+    (tmp_path / "overlap.txt").write_text("0.0 0.06 1.0\n0.04 0.1 1.0\n")
     write_grid_csv(tmp_path / "xi.csv", ha.GridFunction(grid, np.sin(grid.nodes / 2.0)))
     times = np.linspace(0.0, T, 3)
     write_field_csv(tmp_path / "phi.csv",
@@ -746,8 +751,9 @@ def test_input_error_names_its_cause(small_setup, tmp_path, command, name, chang
 def test_bad_length_beside_a_coefficient_table_names_the_length(tmp_path):
     (tmp_path / "coeffs.txt").write_text("0.0 1.0 0.0\n6.3 1.0 0.0\n")
     cfg = write_config(tmp_path / "run.cfg")
-    cfg.write_text(cfg.read_text().replace("q = 0.0", "coeff_table = coeffs.txt")
-                   .replace(f"L = {L!r}", "L = nan"))
-    proc = run_cli("spectrum", cfg, "--out-dir", tmp_path / "out", cwd=tmp_path)
-    assert proc.returncode == 3
-    assert "input error: interval length must be finite, not nan" in proc.stderr
+    text = cfg.read_text().replace("q = 0.0", "coeff_table = coeffs.txt")
+    for length, cause in (("nan", "L must be finite, not nan"), ("-1.0", "L must be positive")):
+        cfg.write_text(text.replace(f"L = {L!r}", f"L = {length}"))
+        proc = run_cli("spectrum", cfg, "--out-dir", tmp_path / "out", cwd=tmp_path)
+        assert proc.returncode == 3
+        assert f"input error: {cfg}: {cause}\n" == proc.stderr

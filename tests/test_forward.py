@@ -45,19 +45,35 @@ def test_evolve_rejects_bad_times(pi_es):
         ha.solve_forward(ha.basis_vector(pi_es, 0), None, [-0.1])
 
 
-@pytest.mark.parametrize("times, onset, message", [
-    ([0.0], 0.0, "need at least two time instants"),
-    ([0.0, 0.05, 0.05], 0.0, "time instants must be strictly increasing"),
-    ([0.0, 0.06, 0.05], 0.0, "time instants must be strictly increasing"),
-    ([0.01, T], 0.0, "source tabulation must start at t = 0"),
-    ([0.0, T], -0.01, r"onset must lie in \[0, horizon\]"),
-    ([0.0, T], 0.2, r"onset must lie in \[0, horizon\]"),
-], ids=["one_instant", "repeated_time", "decreasing_time", "late_start", "onset_negative",
-        "onset_beyond_horizon"])
-def test_source_term_rejects_bad_tabulation(pi_es, times, onset, message):
+@pytest.mark.parametrize("times, message", [
+    ([0.0], "need at least two time instants"),
+    ([0.0, 0.05, 0.05], "time instants must be strictly increasing"),
+    ([0.0, 0.06, 0.05], "time instants must be strictly increasing"),
+    ([0.01, T], "source tabulation must start at t = 0"),
+], ids=["one_instant", "repeated_time", "decreasing_time", "late_start"])
+def test_source_term_rejects_bad_tabulation(pi_es, times, message):
     values = np.zeros((len(times), pi_es.grid.n_nodes))
     with pytest.raises(ValueError, match=f"^{message}$"):
-        ha.SourceTerm.from_grid_history(pi_es.grid, times, values, onset=onset)
+        ha.SourceTerm.from_grid_history(pi_es.grid, times, values)
+
+
+@pytest.mark.parametrize("record, noun", [(ha.SourceTerm, "source"), (ha.SolutionField, "field")],
+                         ids=["source", "field"])
+@pytest.mark.parametrize("times, shape, message", [
+    ([[0.0, T]], (2, 5), "time instants must be one-dimensional"),
+    ([0.0, T], (3, 5), r"{noun} values must be \(n_times, n_nodes\)"),
+    ([0.0, T], (2, 4), r"{noun} values must be \(n_times, n_nodes\)"),
+], ids=["two_dimensional_times", "a_row_too_many", "a_node_too_few"])
+def test_history_records_reject_bad_shapes(record, noun, times, shape, message):
+    with pytest.raises(ValueError, match=f"^{message.format(noun=noun)}$"):
+        record(ha.Grid.uniform(1.0, 5), times, np.ones(shape))
+
+
+def test_source_values_must_be_finite():
+    values = np.ones((2, 5))
+    values[1, 2] = np.nan
+    with pytest.raises(ValueError, match="^source values must be finite$"):
+        ha.SourceTerm(ha.Grid.uniform(1.0, 5), [0.0, T], values)
 
 
 @pytest.mark.parametrize("times", [[0.05, 0.05], [0.05, 0.0]],
@@ -175,6 +191,12 @@ def test_field_slices_match_stored_values(pi_es):
     slc = field.slice_at(float(field.times[j]))
     assert np.max(np.abs(slc.values - field.values[j])) < 1e-10
     assert field.values[:, 0].max() == 0.0 and field.values[:, -1].max() == 0.0
+
+
+def test_rows_at_a_single_knot_hold_its_row_at_every_time():
+    row = np.array([0.0, 1.0, -2.0])
+    rows = list(forward._rows_at(np.array([0.0]), row[None, :], np.array([0.0, 0.5, 2.0])))
+    assert len(rows) == 3 and all(np.array_equal(r, row) for r in rows)
 
 
 def test_single_time_field_slices_to_its_row():
@@ -335,18 +357,12 @@ def test_average_from_source_matches_oracle():
     assert rel < 5 * (grid.h**2 + (horizon / 512) ** 2)
 
 
-def test_onset_must_precede_horizon_with_terminal_weight(pi_es):
-    ws = ha.WeightSpec.quasi_boundary(T, 0.01)
-    times = np.linspace(0.0, T, 3)
-    coeffs = np.ones((3, pi_es.n_modes))
-    src = ha.SourceTerm.from_modal(pi_es, times, coeffs, onset=T)
-    with pytest.raises(ha.OnsetInvalid):
-        ha.average_from_source(src, ws)
-    with pytest.raises(ha.OnsetInvalid):
-        ha.weighted_average(ha.basis_vector(pi_es, 0), ws, src)
-    # fine once the onset moves strictly inside the horizon
-    src_ok = ha.SourceTerm.from_modal(pi_es, times, coeffs, onset=0.5 * T)
-    ha.average_from_source(src_ok, ws)
+def test_average_from_source_refuses_a_source_it_cannot_average(pi_es):
+    with pytest.raises(ValueError, match="^source has no eigensystem; pass one explicitly$"):
+        ha.average_from_source(ha.SourceTerm.from_grid_history(
+            pi_es.grid, [0.0, T], np.zeros((2, pi_es.grid.n_nodes))), ha.WeightSpec.average(T))
+    with pytest.raises(ValueError, match="^source tabulation does not span the weight horizon$"):
+        ha.average_from_source(_const_source(pi_es, 0, 1.0, T), ha.WeightSpec.average(2 * T))
 
 
 def test_energy_decay_without_source(pi_es):

@@ -180,7 +180,7 @@ _CONFIG = {
     ("operator", "L"): "3.0", ("operator", "q"): "0.5", ("operator", "diffusion"): "1.3",
     ("weight", "case"): "quasi", ("weight", "epsilon"): "0.02", ("weight", "kappa"): "1",
     ("run", "T"): "0.1", ("run", "N"): "5", ("run", "n_nodes"): "17", ("run", "n_steps"): "4",
-    ("run", "n_times"): "3", ("run", "onset"): "0",
+    ("run", "n_times"): "3",
     ("figure1", "delta"): "0.1", ("figure1", "frequencies"): "1, 3", ("figure1", "N"): "4",
 }
 _TOKENS = ["", " ", "nan", "-inf", "inf", "1e400", "1e-400", "-1", "0", "1", "2", "2.5", "1_0",

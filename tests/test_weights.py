@@ -41,6 +41,13 @@ def test_constructors_take_kappa_and_t1():
             == ha.WeightSpec.from_pieces(0.5, ((0.0, 0.01, 1.0),), T, t1=0.005))
 
 
+def test_raw_constructor_infers_the_default_t1():
+    raw = ha.WeightSpec(0.0, ((0.0, T, 1.0),), T)
+    assert raw == ha.WeightSpec.average(T) == ha.WeightSpec.from_pieces(0.0, ((0.0, T, 1.0),), T)
+    assert raw.t1 == T and raw.validate().ok
+    assert ha.WeightSpec(1.0, ((0.0, 0.01, 1.0),), T) == ha.WeightSpec.quasi_boundary(T, 0.01)
+
+
 @pytest.mark.parametrize("kappa, horizon", [
     (math.nan, T), (math.inf, T), (0.0, math.inf), (0.0, math.nan)])
 def test_non_finite_kappa_or_horizon_rejected(kappa, horizon):
@@ -190,6 +197,15 @@ def test_negative_leading_eigenvalues_use_plain_multiplier_bound():
 def test_stability_constants_refuses_an_inadmissible_weight(pi_es):
     with pytest.raises(ha.IllPosedWeight, match="no T1 with ess inf > 0"):
         ha.stability_constants(ha.WeightSpec.terminal(T), pi_es)
+
+
+def test_stability_constants_needs_a_positive_eigenvalue():
+    # lambda_k = k^2 - 1000 < 0 for every retained k <= 20
+    es = ha.build_eigensystem(ha.OperatorSpec.constant(np.pi, q=-1000.0),
+                              ha.Grid.uniform(np.pi, 65), 20)
+    with pytest.raises(ValueError, match="^no positive eigenvalue within the truncation; "
+                                         "increase the mode count$"):
+        ha.stability_constants(ha.WeightSpec.average(T), es)
 
 
 def test_multiplier_out_of_band_names_the_mode(pi_es, broken_band):
