@@ -17,6 +17,7 @@ bisection and inverse iteration (``dstebz``, ``dstein``).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -58,13 +59,14 @@ class Grid:
     def __post_init__(self):
         if not 0.0 < self.length < math.inf:
             raise ValueError(f"interval length must be positive and finite, not {self.length:g}")
+        object.__setattr__(self, "n_nodes", operator.index(self.n_nodes))
         if self.n_nodes < 3:
             raise ValueError("a grid needs at least three nodes")
         object.__setattr__(self, "nodes", _frozen(np.linspace(0.0, self.length, self.n_nodes)))
 
     @classmethod
     def uniform(cls, length: float, n_nodes: int) -> "Grid":
-        return cls(float(length), int(n_nodes))
+        return cls(float(length), n_nodes)
 
     @property
     def h(self) -> float:
@@ -234,7 +236,7 @@ def build_eigensystem(op: OperatorSpec, grid: Grid, n_modes: int) -> EigenSystem
     """Compute the first ``n_modes`` Dirichlet eigenpairs of ``op`` on ``grid``."""
     if abs(grid.length - op.length) > 1e-12 * op.length:
         raise GridMismatch("grid does not span the operator's interval")
-    if n_modes < 1:
+    if operator.index(n_modes) < 1:
         raise ValueError("need at least one mode")
     if n_modes > grid.n_nodes - 2:
         raise TruncationTooLarge(

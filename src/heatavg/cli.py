@@ -75,11 +75,7 @@ def _build_parser() -> _Parser:
                    help="with an inadmissible weight, still write amplification "
                         "diagnostics instead of stopping at the admissibility check")
 
-    p = add("figure1", "run the noise-amplification experiment and emit plot data")
-    p.add_argument("--n-modes", type=int, default=None,
-                   help="number of retained modes for the experiment "
-                        "(default 300; smaller values, e.g. 50, give a smoother "
-                        "but less faithful reconstruction)")
+    add("figure1", "run the noise-amplification experiment and emit plot data")
 
     p = add("oracle", "finite-difference evolution and its weighted average")
     p.add_argument("xi_csv", help="initial profile as an x,value CSV")
@@ -218,9 +214,8 @@ set term pngcairo size 1200,700
 
 
 def _cmd_figure1(cfg: RunConfig, args) -> int:
-    n_modes = next(n for n in (args.n_modes, cfg.fig_n_modes, cfg.n_modes) if n is not None)
     grid = cfg.grid()
-    es = build_eigensystem(cfg.operator, grid, n_modes)
+    es = build_eigensystem(cfg.operator, grid, cfg.fig_n_modes)
     ws = cfg.weight
     out = _out_dir(args)
 
@@ -253,7 +248,7 @@ def _cmd_figure1(cfg: RunConfig, args) -> int:
         )
     (out / "figure1.gp").write_text("\n".join(plot))
 
-    lines = [f"n_modes = {n_modes}", f"delta = {cfg.delta:.17g}",
+    lines = [f"n_modes = {cfg.fig_n_modes}", f"delta = {cfg.delta:.17g}",
              f"min_recovered_initial = {float(np.min(base.values)):.17g}"]
     for freq, deviation in summary:
         lines.append(f"max_deviation_freq_{freq:g} = {deviation:.17g}")

@@ -142,7 +142,7 @@ class RunConfig:
     n_times: int
     delta: float
     frequencies: tuple[float, ...]
-    fig_n_modes: int | None
+    fig_n_modes: int
 
     def grid(self) -> Grid:
         return Grid.uniform(self.operator.length, self.n_nodes)
@@ -205,7 +205,7 @@ def load_config(path) -> RunConfig:
         delta=_number(path, "[figure1] delta", fig.get("delta", "0.1")),
         frequencies=tuple(_number(path, "[figure1] frequencies", f)
                           for f in fig.get("frequencies", "1, 3").replace(",", " ").split()),
-        fig_n_modes=_number(path, "[figure1] N", fig["N"], int) if "N" in fig else None,
+        fig_n_modes=_number(path, "[figure1] N", fig.get("N", run.get("N", "300")), int),
     )
 
 

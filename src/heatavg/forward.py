@@ -78,87 +78,6 @@ def _phis(z: np.ndarray, order: int) -> list[np.ndarray]:
     return phis
 
 
-def _freeze_history(record, noun: str) -> None:
-    """Freeze ``times`` and ``values``; check 1-D increasing times, one grid row each."""
-    for name in ("times", "values"):
-        object.__setattr__(record, name, _frozen(getattr(record, name)))
-    if record.times.ndim != 1:
-        raise ValueError("time instants must be one-dimensional")
-    if record.values.shape != (record.times.size, record.grid.n_nodes):
-        raise ValueError(f"{noun} values must be (n_times, n_nodes)")
-    if not np.all(np.diff(record.times) > 0.0):
-        raise ValueError("time instants must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class SourceTerm:
-    """Source term tabulated on time instants, piecewise linear in between.
-
-    Grid samples (``values``) are the one stored history and what the
-    finite-difference oracle consumes; given ``es``, the term projects them
-    once into ``coeffs``, its coefficient rows in that basis.  A source is
-    linear on its last knot interval, so it is smooth up to the horizon, as a
-    terminal weight (``kappa != 0``) needs.
-    """
-
-    grid: Grid
-    times: np.ndarray
-    values: np.ndarray
-    es: EigenSystem | None = None
-    coeffs: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        _freeze_history(self, "source")
-        if self.times.size < 2:
-            raise ValueError("need at least two time instants")
-        if self.times[0] != 0.0:
-            raise ValueError("source tabulation must start at t = 0")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("source values must be finite")
-        if self.es is not None:
-            object.__setattr__(self, "coeffs", _frozen(self.coefficients(self.es)))
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn: Callable, times,
-                      es: EigenSystem | None = None) -> "SourceTerm":
-        times = np.asarray(times, dtype=float)
-        values = np.array([np.asarray(fn(grid.nodes, t), dtype=float) for t in times])
-        return cls.from_grid_history(grid, times, values, es=es)
-
-    @classmethod
-    def from_grid_history(cls, grid: Grid, times, values,
-                          es: EigenSystem | None = None) -> "SourceTerm":
-        return cls(grid=grid, times=times, values=values, es=es)
-
-    @classmethod
-    def from_modal(cls, es: EigenSystem, times, coeffs) -> "SourceTerm":
-        """Build from per-instant coefficient rows in the given eigenbasis: the
-        rows are synthesized into grid samples, which the term projects back."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.ndim != 2 or coeffs.shape[1] != es.n_modes:
-            raise ValueError(f"source coefficients of shape {coeffs.shape} are not rows "
-                             f"of the eigensystem's {es.n_modes} modes")
-        values = coeffs @ es.modes
-        return cls(grid=es.grid, times=times, values=values, es=es)
-
-    def coefficients(self, es: EigenSystem) -> np.ndarray:
-        """Per-instant expansion of the source in ``es``; rows follow ``times``."""
-        if self.coeffs is not None and self.es is es:
-            return self.coeffs
-        if self.grid != es.grid:
-            raise GridMismatch("source and eigensystem use different grids")
-        w = es.grid.trapezoid_weights()
-        return (self.values * w) @ es.modes.T
-
-    def values_at(self, t: float) -> np.ndarray:
-        """Grid samples of the source at time t (linear interpolation)."""
-        return next(_rows_at(self.times, self.values, np.array([t], dtype=float)))
-
-
 def _rows_at(knots: np.ndarray, rows: np.ndarray, times: np.ndarray):
     """Yield ``rows`` (one per knot) linearly interpolated at each of ``times``,
     held at the end rows outside the knots; one search finds every piece."""
@@ -196,7 +115,14 @@ class SolutionField:
     values: np.ndarray
 
     def __post_init__(self):
-        _freeze_history(self, "field")
+        for name in ("times", "values"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        if self.times.ndim != 1:
+            raise ValueError("time instants must be one-dimensional")
+        if self.values.shape != (self.times.size, self.grid.n_nodes):
+            raise ValueError("values must be one row of grid values per time")
+        if not np.all(np.diff(self.times) > 0.0):
+            raise ValueError("time instants must be strictly increasing")
 
     def slice_at(self, t: float) -> GridFunction:
         """Spatial slice at time t: the stored row at a stored time, linearly
@@ -213,9 +139,73 @@ class SolutionField:
         return float(np.sqrt(wt @ ((self.values**2) @ wx)))
 
 
+@dataclass(frozen=True)
+class SourceTerm(SolutionField):
+    """Source term: a field that starts at t = 0 with two or more finite rows;
+    its `slice_at` is the source, linear in time between the knots.
+
+    Given ``es``, the term projects its samples once into ``coeffs``, its
+    coefficient rows in that basis; the oracle consumes the samples.  A
+    source is linear on its last knot interval, so it is smooth up to the
+    horizon, as a terminal weight (``kappa != 0``) needs.
+    """
+
+    es: EigenSystem | None = None
+    coeffs: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.times.size < 2:
+            raise ValueError("need at least two time instants")
+        if self.times[0] != 0.0:
+            raise ValueError("source tabulation must start at t = 0")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("source values must be finite")
+        if self.es is not None:
+            object.__setattr__(self, "coeffs", _frozen(self.coefficients(self.es)))
+
+    @property
+    def horizon(self) -> float:
+        return float(self.times[-1])
+
+    @classmethod
+    def from_callable(cls, grid: Grid, fn: Callable, times,
+                      es: EigenSystem | None = None) -> "SourceTerm":
+        times = np.asarray(times, dtype=float)
+        values = np.array([np.asarray(fn(grid.nodes, t), dtype=float) for t in times])
+        return cls(grid=grid, times=times, values=values, es=es)
+
+    @classmethod
+    def from_grid_history(cls, grid: Grid, times, values,
+                          es: EigenSystem | None = None) -> "SourceTerm":
+        return cls(grid=grid, times=times, values=values, es=es)
+
+    @classmethod
+    def from_modal(cls, es: EigenSystem, times, coeffs) -> "SourceTerm":
+        """Build from per-instant coefficient rows in the given eigenbasis: the
+        rows are synthesized into grid samples, which the term projects back."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.ndim != 2 or coeffs.shape[1] != es.n_modes:
+            raise ValueError(f"source coefficients of shape {coeffs.shape} are not rows "
+                             f"of the eigensystem's {es.n_modes} modes")
+        values = coeffs @ es.modes
+        return cls(grid=es.grid, times=times, values=values, es=es)
+
+    def coefficients(self, es: EigenSystem) -> np.ndarray:
+        """Per-instant expansion of the source in ``es``; rows follow ``times``."""
+        if self.coeffs is not None and self.es is es:
+            return self.coeffs
+        if self.grid != es.grid:
+            raise GridMismatch("source and eigensystem use different grids")
+        w = es.grid.trapezoid_weights()
+        return (self.values * w) @ es.modes.T
+
+
 def _checked_times(times, horizon: float) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    bad = (times < 0.0) | (times > horizon * (1.0 + 1e-12))
+    if times.ndim != 1:
+        raise ValueError("time instants must be one-dimensional")
+    bad = ~((times >= 0.0) & (times <= horizon * (1.0 + 1e-12)))
     if np.any(bad):
         raise TimeOutOfRange(f"t = {times[bad][0]:g} outside [0, {horizon:g}]")
     return times
@@ -312,13 +302,10 @@ def average_from_initial(xi: SpectralVector, ws: WeightSpec) -> SpectralVector:
     return SpectralVector(xi.es, xi.coeffs * ws.multiplier(xi.es.lambdas))
 
 
-def average_from_source(src: SourceTerm, ws: WeightSpec,
-                        es: EigenSystem | None = None) -> SpectralVector:
-    """Weighted time average of the zero-initial evolution driven by ``src``,
-    exact up to rounding (closed-form weight integrals over the knot states)."""
-    es = es or src.es
-    if es is None:
-        raise ValueError("source has no eigensystem; pass one explicitly")
+def average_from_source(src: SourceTerm, ws: WeightSpec, es: EigenSystem) -> SpectralVector:
+    """Weighted time average of the zero-initial evolution driven by ``src``
+    in the basis ``es``, exact up to rounding (closed-form weight integrals
+    over the knot states)."""
     return SpectralVector(es, _source_average(src, es, ws))
 
 

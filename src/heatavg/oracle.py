@@ -66,9 +66,9 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     next row of the field and back-solves it there (``dgttrs``), so every
     state is written once.  Both routines come from scipy's LAPACK extension,
     loaded without importing `scipy.linalg` (`_lapack.routines`).  The source
-    row at each step time comes from the rule `SourceTerm.values_at` uses,
-    one row at a time: linear between knots, held at the last row beyond the
-    last knot.
+    row at each step time comes from `forward._rows_at`, the rule of the
+    source's `slice_at`, one row at a time: linear between knots, held at the
+    last row beyond the last knot.
     """
     dgttrf, dgttrs = routines("dgttrf", "dgttrs")
 

@@ -193,6 +193,24 @@ def test_grid_rejects_too_few_nodes(n_nodes):
         ha.Grid.uniform(1.0, n_nodes)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ha.Grid.uniform(1.0, 33.7),
+    lambda: ha.build_eigensystem(ha.OperatorSpec.constant(1.0), ha.Grid.uniform(1.0, 17), 2.5),
+    lambda: ha.build_eigensystem(ha.OperatorSpec.from_callables(1.0, np.ones_like, np.zeros_like),
+                                 ha.Grid.uniform(1.0, 17), 2.5),
+], ids=["grid_nodes", "constant_modes", "tabulated_modes"])
+def test_counts_must_be_integers(build):
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        build()
+
+
+def test_numpy_integer_counts_are_stored_as_int():
+    grid = ha.Grid(1.0, np.int64(17))
+    assert type(grid.n_nodes) is int and grid == ha.Grid.uniform(1.0, 17)
+    es = ha.build_eigensystem(ha.OperatorSpec.constant(1.0), grid, np.int64(4))
+    assert type(es.n_modes) is int and es.n_modes == 4
+
+
 @pytest.mark.parametrize("length, n_nodes, accepted", [
     (np.pi, 257, True), (np.pi, 129, False), (0.5 * np.pi, 257, False),
 ], ids=["equal_pair", "other_n_nodes", "other_length"])

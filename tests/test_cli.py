@@ -63,8 +63,7 @@ def test_oracle_and_tabulated_spectrum_do_not_import_scipy_linalg(tmp_path):
     write_grid_csv(tmp_path / "xi.csv", ha.GridFunction(grid, np.sin(grid.nodes / 2.0)))
     times = np.linspace(0.0, T, 3)
     write_field_csv(tmp_path / "phi.csv",
-                    ha.SolutionField(grid=grid, times=times,
-                                     values=np.outer(1.0 + times, np.sin(grid.nodes / 2.0))),
+                    ha.SourceTerm(grid, times, np.outer(1.0 + times, np.sin(grid.nodes / 2.0))),
                     column="phi")
     script = (
         "import sys\n"
@@ -234,12 +233,10 @@ def test_invert_with_source_round_trip(small_setup, tmp_path):
     times = np.linspace(0.0, T, 4)
     src = ha.SourceTerm.from_callable(grid, lambda x, t: (1 + t / T) * np.sin(x / 2.0),
                                       times, es=es)
-    write_field_csv(tmp_path / "phi.csv",
-                    ha.SolutionField(grid=grid, times=times, values=src.values),
-                    column="phi")
+    write_field_csv(tmp_path / "phi.csv", src, column="phi")
     xi = ha.project(ha.GridFunction(grid, np.sin(grid.nodes / 2.0)), es)
     mu_coeffs = (ha.average_from_initial(xi, ws).coeffs
-                 + ha.average_from_source(src, ws).coeffs)
+                 + ha.average_from_source(src, ws, es).coeffs)
     write_grid_csv(tmp_path / "mu.csv", ha.synthesize(ha.SpectralVector(es, mu_coeffs), es))
     out = tmp_path / "out"
     proc = run_cli("invert", cfg, tmp_path / "mu.csv", "--phi", tmp_path / "phi.csv",
@@ -520,11 +517,10 @@ def test_bad_coefficient_table_is_input_error(tmp_path, table, cause):
     assert "warning" not in proc.stderr.lower() and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("option, figure1", [(["--n-modes", "0"], ""), ([], "N = 0")],
-                         ids=["flag", "config"])
-def test_figure1_zero_modes_is_input_error(tmp_path, option, figure1):
+@pytest.mark.parametrize("figure1", ["N = 0"], ids=["config"])
+def test_figure1_zero_modes_is_input_error(tmp_path, figure1):
     cfg = write_config(tmp_path / "run.cfg", figure1=figure1)
-    proc = run_cli("figure1", cfg, *option, "--out-dir", tmp_path / "out", cwd=tmp_path)
+    proc = run_cli("figure1", cfg, "--out-dir", tmp_path / "out", cwd=tmp_path)
     assert proc.returncode == 3
     assert "need at least one mode" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -731,8 +727,7 @@ def test_input_error_names_its_cause(small_setup, tmp_path, command, name, chang
     write_grid_csv(tmp_path / "xi.csv", ha.GridFunction(grid, np.sin(grid.nodes / 2.0)))
     times = np.linspace(0.0, T, 3)
     write_field_csv(tmp_path / "phi.csv",
-                    ha.SolutionField(grid=grid, times=times,
-                                     values=np.outer(1.0 + times, np.sin(grid.nodes / 2.0))),
+                    ha.SourceTerm(grid, times, np.outer(1.0 + times, np.sin(grid.nodes / 2.0))),
                     column="phi")
     text = change((tmp_path / name).read_text())
     if text is None:

@@ -45,6 +45,18 @@ def test_evolve_rejects_bad_times(pi_es):
         ha.solve_forward(ha.basis_vector(pi_es, 0), None, [-0.1])
 
 
+@pytest.mark.parametrize("with_source, times, error, message", [
+    (False, [[0.0, 0.05]], ValueError, "^time instants must be one-dimensional$"),
+    (False, [math.nan], ha.TimeOutOfRange, r"^t = nan outside \[0, inf\]$"),
+    (True, [0.0, math.nan], ha.TimeOutOfRange, r"^t = nan outside \[0, 0.1\]$"),
+], ids=["two_dimensional", "nan_without_source", "nan_with_source"])
+def test_solve_forward_names_bad_times(pi_es, with_source, times, error, message):
+    # refused by name before any mode is evaluated, never blamed on an eigenvalue
+    src = _const_source(pi_es, 0, 1.0, T) if with_source else None
+    with pytest.raises(error, match=message):
+        ha.solve_forward(ha.basis_vector(pi_es, 0), src, times)
+
+
 @pytest.mark.parametrize("times, message", [
     ([0.0], "need at least two time instants"),
     ([0.0, 0.05, 0.05], "time instants must be strictly increasing"),
@@ -57,16 +69,19 @@ def test_source_term_rejects_bad_tabulation(pi_es, times, message):
         ha.SourceTerm.from_grid_history(pi_es.grid, times, values)
 
 
-@pytest.mark.parametrize("record, noun", [(ha.SourceTerm, "source"), (ha.SolutionField, "field")],
-                         ids=["source", "field"])
+@pytest.mark.parametrize("record", [ha.SourceTerm, ha.SolutionField], ids=["source", "field"])
 @pytest.mark.parametrize("times, shape, message", [
     ([[0.0, T]], (2, 5), "time instants must be one-dimensional"),
-    ([0.0, T], (3, 5), r"{noun} values must be \(n_times, n_nodes\)"),
-    ([0.0, T], (2, 4), r"{noun} values must be \(n_times, n_nodes\)"),
+    ([0.0, T], (3, 5), "values must be one row of grid values per time"),
+    ([0.0, T], (2, 4), "values must be one row of grid values per time"),
 ], ids=["two_dimensional_times", "a_row_too_many", "a_node_too_few"])
-def test_history_records_reject_bad_shapes(record, noun, times, shape, message):
-    with pytest.raises(ValueError, match=f"^{message.format(noun=noun)}$"):
+def test_history_records_reject_bad_shapes(record, times, shape, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         record(ha.Grid.uniform(1.0, 5), times, np.ones(shape))
+
+
+def test_a_source_is_a_field():
+    assert issubclass(ha.SourceTerm, ha.SolutionField)
 
 
 def test_source_values_must_be_finite():
@@ -238,13 +253,13 @@ def test_row_interpolation_matches_reference_bit_for_bit():
     inside = np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:]), np.nextafter(knots[1:], 0.0),
                              np.nextafter(knots[:-1], 1.0), rng.uniform(0.0, 0.17, 40)])
     for t in inside:
-        for got, want in ((src.values_at(t), _reference_values_at(src, t)),
+        for got, want in ((src.slice_at(t).values, _reference_values_at(src, t)),
                           (field.slice_at(t).values, _reference_slice_at(field, t))):
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    for t in (-0.1, 0.2, 5.0):  # the source holds its end rows; the field refuses
-        assert np.array_equal(src.values_at(t), _reference_values_at(src, t))
-        with pytest.raises(ha.TimeOutOfRange):
-            field.slice_at(t)
+    for t in (-0.1, 0.2, 5.0):  # beyond the knots both refuse; the oracle test pins the hold
+        for history in (src, field):
+            with pytest.raises(ha.TimeOutOfRange):
+                history.slice_at(t)
 
 
 def test_field_slice_at_a_stored_end_time_is_that_row():
@@ -322,7 +337,7 @@ def test_average_from_initial_matches_oracle():
 
 def test_average_from_source_zero(pi_es, avg_ws):
     src = ha.SourceTerm.from_modal(pi_es, [0.0, T], np.zeros((2, pi_es.n_modes)))
-    out = ha.average_from_source(src, avg_ws)
+    out = ha.average_from_source(src, avg_ws, pi_es)
     assert np.all(out.coeffs == 0.0)
 
 
@@ -332,7 +347,7 @@ def test_average_from_source_nested_closed_form(pi_es, avg_ws):
     src = _const_source(pi_es, 0, 1.0, T)
     lam = pi_es.lambdas[0]
     expected = T / lam - (1 - math.exp(-lam * T)) / lam**2
-    out = ha.average_from_source(src, avg_ws)
+    out = ha.average_from_source(src, avg_ws, pi_es)
     assert out.coeffs[0] == pytest.approx(expected, rel=1e-12)
     assert np.max(np.abs(out.coeffs[1:])) < 1e-15
 
@@ -347,7 +362,7 @@ def test_average_from_source_matches_oracle():
     src = ha.SourceTerm.from_callable(
         grid, lambda x, t: (1.0 + t) * np.sin(x) * np.exp(-x / 2), times, es=es
     )
-    spectral = ha.synthesize(ha.average_from_source(src, ws), es)
+    spectral = ha.synthesize(ha.average_from_source(src, ws, es), es)
     cfg = ha.StepperConfig(n_nodes=257, n_steps=512, breakpoints=tuple(ws.breakpoints()))
     zero = ha.GridFunction.zeros(grid)
     field = ha.step_evolution(op, zero, src, horizon, cfg)
@@ -358,11 +373,9 @@ def test_average_from_source_matches_oracle():
 
 
 def test_average_from_source_refuses_a_source_it_cannot_average(pi_es):
-    with pytest.raises(ValueError, match="^source has no eigensystem; pass one explicitly$"):
-        ha.average_from_source(ha.SourceTerm.from_grid_history(
-            pi_es.grid, [0.0, T], np.zeros((2, pi_es.grid.n_nodes))), ha.WeightSpec.average(T))
     with pytest.raises(ValueError, match="^source tabulation does not span the weight horizon$"):
-        ha.average_from_source(_const_source(pi_es, 0, 1.0, T), ha.WeightSpec.average(2 * T))
+        ha.average_from_source(_const_source(pi_es, 0, 1.0, T), ha.WeightSpec.average(2 * T),
+                               pi_es)
 
 
 def test_energy_decay_without_source(pi_es):
@@ -379,7 +392,7 @@ def test_weighted_average_cross_checks_source_quadrature(pi_es):
     src = ha.SourceTerm.from_modal(pi_es, times, rng.standard_normal((5, pi_es.n_modes)))
     xi = ha.SpectralVector(pi_es, rng.standard_normal(pi_es.n_modes))
     direct = (ha.average_from_initial(xi, ws).coeffs
-              + ha.average_from_source(src, ws).coeffs)
+              + ha.average_from_source(src, ws, pi_es).coeffs)
     fourth_order = ha.weighted_average(xi, ws, src)
     assert np.max(np.abs(fourth_order.coeffs - direct)) < 1e-12
 
@@ -423,7 +436,7 @@ def test_source_average_matches_fine_quadrature_of_duhamel(zero_mode_case):
     ws = ha.WeightSpec.from_pieces(
         0.6, ((0.0, 0.027, 1.5), (0.027, 0.055, 0.4), (0.08, T, 2.0)), T)
     breaks = np.union1d(knots, ws.breakpoints())
-    exact = ha.average_from_source(src, ws).coeffs
+    exact = ha.average_from_source(src, ws, es).coeffs
     for k in (0, 1, 5, 11):
         def integrand(ts):
             return ws.value_at(ts) * _duhamel(src, es, ts)[:, k]
@@ -570,4 +583,4 @@ def test_forward_kernel_matches_unblocked_reference_bit_for_bit(bits_case, n_tim
         _assert_same_bits(exact_slice.values, want[-1:] @ es.modes)
     _assert_same_bits(_decay(xi, times[-1]).coeffs, decay[-1])
     for ws, average in zip(_BITS_WEIGHTS, averages):
-        _assert_same_bits(ha.average_from_source(src, ws).coeffs, average)
+        _assert_same_bits(ha.average_from_source(src, ws, es).coeffs, average)

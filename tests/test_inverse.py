@@ -118,7 +118,7 @@ def test_averaged_condition_residual_with_source(pi_es, avg_ws):
     src = ha.SourceTerm.from_modal(pi_es, times, rng.standard_normal((5, pi_es.n_modes)))
     xi = ha.SpectralVector(pi_es, rng.standard_normal(pi_es.n_modes))
     mu_coeffs = (ha.average_from_initial(xi, avg_ws).coeffs
-                 + ha.average_from_source(src, avg_ws).coeffs)
+                 + ha.average_from_source(src, avg_ws, pi_es).coeffs)
     mu = ha.synthesize(ha.SpectralVector(pi_es, mu_coeffs), pi_es)
     _, rep = ha.solve_inverse(mu, src, avg_ws, pi_es)
     assert rep.residual_mu < 1e-8
@@ -212,7 +212,7 @@ def test_recovered_field_satisfies_discrete_pde():
             grid, lambda x, t: (1.0 + t / horizon) * np.sin(x / 2.0), times, es=es
         )
         coeffs = (ha.average_from_initial(ha.project(xi, es), ws).coeffs
-                  + ha.average_from_source(src, ws).coeffs)
+                  + ha.average_from_source(src, ws, es).coeffs)
         mu = ha.synthesize(ha.SpectralVector(es, coeffs), es)
         otimes = np.linspace(0.0, horizon, n_steps + 1)
         field, _ = ha.solve_inverse(mu, src, ws, es, times=otimes)
@@ -221,7 +221,8 @@ def test_recovered_field_satisfies_discrete_pde():
         second = lambda row: (row[:-2] - 2.0 * row[1:-1] + row[2:]) / h**2
         norms = []
         for n in range(n_steps):
-            phi = 0.5 * (src.values_at(otimes[n])[1:-1] + src.values_at(otimes[n + 1])[1:-1])
+            phi = 0.5 * (src.slice_at(otimes[n]).values[1:-1]
+                         + src.slice_at(otimes[n + 1]).values[1:-1])
             r = (u[n + 1, 1:-1] - u[n, 1:-1]) / dt \
                 - 0.5 * (second(u[n + 1]) + second(u[n])) - phi
             norms.append(np.sum(r**2) * h)

@@ -194,6 +194,19 @@ def test_breakpoints_merged_into_time_grid():
     assert times[0] == 0.0 and times[-1] == 0.1
 
 
+def _reference_source_row(src, t):
+    """Reference: the source row at t, linear between knots and held at the
+    end rows beyond them (the former `SourceTerm.values_at`, verbatim)."""
+    t = float(t)
+    if t <= src.times[0]:
+        return src.values[0]
+    if t >= src.times[-1]:
+        return src.values[-1]
+    i = int(np.searchsorted(src.times, t, side="right") - 1)
+    s = (t - src.times[i]) / (src.times[i + 1] - src.times[i])
+    return (1.0 - s) * src.values[i] + s * src.values[i + 1]
+
+
 def _reference_step_evolution(op, xi, src, horizon, cfg):
     """Reference: a banded solve at every step, with `step_evolution`'s former
     arithmetic verbatim and its input and finiteness checks left out."""
@@ -213,7 +226,7 @@ def _reference_step_evolution(op, xi, src, horizon, cfg):
     values[0, -1] = 0.0
 
     u = values[0, 1:-1].copy()
-    phi_now = src.values_at(0.0)[1:-1] if src is not None else None
+    phi_now = _reference_source_row(src, 0.0)[1:-1] if src is not None else None
     for n in range(times.size - 1):
         dt = times[n + 1] - times[n]
         ab = np.zeros((3, n_int))
@@ -224,7 +237,7 @@ def _reference_step_evolution(op, xi, src, horizon, cfg):
         rhs[:-1] += 0.5 * dt * upper * u[1:]
         rhs[1:] += 0.5 * dt * lower * u[:-1]
         if src is not None:
-            phi_next = src.values_at(float(times[n + 1]))[1:-1]
+            phi_next = _reference_source_row(src, times[n + 1])[1:-1]
             rhs += 0.5 * dt * (phi_now + phi_next)
             phi_now = phi_next
         u = solve_banded((1, 1), ab, rhs)

@@ -14,7 +14,8 @@ from hypothesis.extra.numpy import arrays
 
 import heatavg as ha
 from heatavg import cli
-from heatavg.fileio import read_grid_csv, read_space_time_csv, write_field_csv, write_grid_csv
+from heatavg.fileio import (RunConfig, read_grid_csv, read_space_time_csv, write_field_csv,
+                            write_grid_csv)
 
 PROFILE = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -163,6 +164,8 @@ def _same_bits(got, want):
 @given(case=csv_cases())
 @example(case=(ha.Grid.uniform(1.0, 5), np.array(EDGES), np.array([-0.0, 5e-324, 1.7e308]),
                np.array([EDGES, EDGES[::-1], EDGES])))
+@example(case=(ha.Grid.uniform(3.0, 4), np.array(EDGES[:4]), np.array([0.0, 1e-300, 0.1]),
+               np.array([EDGES[:4], EDGES[1:], EDGES[:4]])))
 def test_csv_writers_and_readers_round_trip_bit_for_bit(tmp_path_factory, case):
     grid, profile, times, rows = case
     out = tmp_path_factory.mktemp("csv")
@@ -171,6 +174,15 @@ def test_csv_writers_and_readers_round_trip_bit_for_bit(tmp_path_factory, case):
     write_field_csv(out / "field.csv", ha.SolutionField(grid, times, rows))
     back_times, back_rows = read_space_time_csv(out / "field.csv", grid)
     assert _same_bits(back_times, times) and _same_bits(back_rows, rows)
+    if times.size > 1 and times[0] == 0.0:  # a field from t = 0 is also a source
+        src = ha.SourceTerm(grid, times, rows)
+        write_field_csv(out / "phi.csv", src, "phi")
+        cfg = RunConfig(ha.OperatorSpec.constant(grid.length), ha.WeightSpec.average(src.horizon),
+                        n_modes=1, n_nodes=grid.n_nodes, n_steps=2, n_times=2, delta=0.1,
+                        frequencies=(), fig_n_modes=1)
+        back = cfg.source_from_csv(out / "phi.csv", grid)
+        # source_from_csv pins the ends to 0 and T, so a -0.0 start reads back as 0.0
+        assert np.array_equal(back.times, src.times) and _same_bits(back.values, src.values)
 
 
 # A small valid run; one of its values, or one line of an input CSV, is
