@@ -3,21 +3,25 @@
 Crank-Nicolson time stepping of the diffusion problem with Dirichlet rows
 enforced exactly, plus weighted trapezoid averaging in time.  Neither makes
 a temporary the size of the field: each step is formed and solved in its
-own row, and the average is one contraction of the field with per-time
-weights.  This module assembles its own difference operator from the
+own row, with its products in reused scratch rows, and the average is one
+contraction of the field with per-time weights.  Finiteness is checked once
+per block of rows, and the first non-finite state names the step that wrote
+it.  This module assembles its own difference operator from the
 OperatorSpec samples and never touches eigen data, so agreement with the
 spectral modules is a genuine cross-check rather than a tautology.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from ._lapack import routines
 from .basis import GridFunction, OperatorSpec
-from .forward import SolutionField, SourceTerm, _rows_at, _trapezoid_in_time
+from .forward import _BLOCK_VALUES, SolutionField, SourceTerm, _rows_at, _trapezoid_in_time
 
 
 class SingularStep(RuntimeError):
@@ -46,8 +50,12 @@ class StepperConfig:
             raise ValueError("need at least 3 spatial nodes")
         if self.n_steps < 2:
             raise ValueError("need at least 2 time steps")
+        if not all(math.isfinite(b) for b in self.breakpoints):
+            raise ValueError("breakpoints must be finite")
 
     def time_grid(self, horizon: float) -> np.ndarray:
+        if not 0.0 < horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         base = np.linspace(0.0, horizon, self.n_steps + 1)
         extra = [b for b in self.breakpoints if 0.0 < b < horizon]
         if not extra:
@@ -62,13 +70,18 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     """March the diffusion forward from ``xi`` with Crank-Nicolson steps.
 
     The step matrix I - (dt/2) A is LU-factored once per distinct step size
-    (LAPACK ``dgttrf``); each step then forms its right-hand side in the
-    next row of the field and back-solves it there (``dgttrs``), so every
-    state is written once.  Both routines come from scipy's LAPACK extension,
-    loaded without importing `scipy.linalg` (`_lapack.routines`).  The source
-    row at each step time comes from `forward._rows_at`, the rule of the
-    source's `slice_at`, one row at a time: linear between knots, held at the
-    last row beyond the last knot.
+    (LAPACK ``dgttrf``) before the march; each step then forms its right-hand
+    side in the next row of the field and back-solves it there (``dgttrs``),
+    so every state is written once.  Both routines come from scipy's LAPACK
+    extension, loaded without importing `scipy.linalg` (`_lapack.routines`).
+    The source row at each step time comes from `forward._rows_at`, the rule
+    of the source's `slice_at`, one row at a time: linear between knots, held
+    at the last row beyond the last knot.
+
+    The march runs in blocks of about `forward._BLOCK_VALUES` values, with
+    floating-point warnings off; after each block its states are checked
+    once, and the first non-finite one raises `SingularStep` naming the step
+    that produced it (step n writes state n + 1).
     """
     dgttrf, dgttrs = routines("dgttrf", "dgttrs")
 
@@ -77,8 +90,7 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
         raise ValueError("config n_nodes does not match the initial state's grid")
     if src is not None and src.grid != grid:
         raise ValueError("source and initial state use different grids")
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    times = cfg.time_grid(horizon)
 
     a_mid, a0_nodes = op.sample(grid)
     h = grid.h
@@ -87,18 +99,15 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     off = a_mid[1:-1] / h**2
     diag = -(a_mid[:-1] + a_mid[1:]) / h**2 + a0_nodes[1:-1]
 
-    times = cfg.time_grid(horizon)
     values = np.zeros((times.size, grid.n_nodes))
     values[0, 1:-1] = xi.values[1:-1]
-
-    if src is not None:
-        source_rows = _rows_at(src.times, src.values[:, 1:-1], times)
-        phi_now = next(source_rows)
 
     # The Dirichlet rows join the system as unit rows with zero right-hand
     # side: the boundary stays exactly zero, and the system has the three or
     # more unknowns scipy's dgttrf wrapper needs even on a 3-node grid.
-    factors = {}
+    # ``plan`` holds each step's (LU factors, 0.5 dt off, 0.5 dt), up to the
+    # first singular matrix; the march reports earlier non-finite states first.
+    plan, factors, singular = [], {}, None
     for n, dt in enumerate(np.diff(times).tolist()):
         if dt not in factors:
             dl = np.zeros(grid.n_nodes - 1)
@@ -108,25 +117,49 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
             d[1:-1] = 1.0 - 0.5 * dt * diag
             *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
             if info > 0:
-                raise SingularStep(f"implicit matrix singular at step {n}")
+                singular = n
+                break
             # 0.5 * dt * off * u[1:] evaluates 0.5 * dt * off first,
             # so caching that product leaves every step's bits unchanged
-            factors[dt] = lu, 0.5 * dt * off
-        lu, half_off = factors[dt]
-        # u + 0.5 dt (diag u), then the off-diagonal terms; the ends stay 0
-        u, rhs = values[n, 1:-1], values[n + 1, 1:-1]
-        np.multiply(diag, u, out=rhs)
-        rhs *= 0.5 * dt
-        rhs += u
-        rhs[:-1] += half_off * u[1:]
-        rhs[1:] += half_off * u[:-1]
-        if src is not None:
-            phi_next = next(source_rows)
-            rhs += 0.5 * dt * (phi_now + phi_next)
-            phi_now = phi_next
-        dgttrs(*lu, values[n + 1], overwrite_b=1)
-        if not np.all(np.isfinite(values[n + 1])):
-            raise SingularStep(f"non-finite state at step {n}")
+            factors[dt] = lu, 0.5 * dt * off, 0.5 * dt
+        plan.append(factors[dt])
+
+    if src is not None:
+        source_rows = _rows_at(src.times, src.values[:, 1:-1], times)
+        phi_now = next(source_rows)
+        drive = np.empty(grid.n_nodes - 2)
+    off_term = np.empty(grid.n_nodes - 3)
+    # each state's interior, and that interior less its last (head) or first
+    # (tail) node; step n reads state n and writes state n + 1
+    interior, head, tail = values[:, 1:-1], values[:, 1:-2], values[:, 2:-1]
+    u, u_head, u_tail = interior[0], head[0], tail[0]
+    steps = zip(plan, values[1:], interior[1:], head[1:], tail[1:])
+    block = max(1, _BLOCK_VALUES // grid.n_nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(plan), block):
+            for (lu, half_off, half_dt), state, rhs, rhs_head, rhs_tail in islice(steps, block):
+                # u + 0.5 dt (diag u), then the off-diagonal terms; the ends stay 0
+                np.multiply(diag, u, out=rhs)
+                rhs *= half_dt
+                rhs += u
+                np.multiply(half_off, u_tail, out=off_term)
+                rhs_head += off_term
+                np.multiply(half_off, u_head, out=off_term)
+                rhs_tail += off_term
+                if src is not None:
+                    # 0.5 dt (phi_now + phi_next)
+                    phi_next = next(source_rows)
+                    np.add(phi_now, phi_next, out=drive)
+                    drive *= half_dt
+                    rhs += drive
+                    phi_now = phi_next
+                dgttrs(*lu, state, overwrite_b=1)
+                u, u_head, u_tail = rhs, rhs_head, rhs_tail
+            finite = np.isfinite(values[start + 1:start + 1 + block]).all(axis=1)
+            if not finite.all():
+                raise SingularStep(f"non-finite state at step {start + int(finite.argmin())}")
+    if singular is not None:
+        raise SingularStep(f"implicit matrix singular at step {singular}")
 
     return SolutionField(grid=grid, times=times, values=values)
 

@@ -166,13 +166,18 @@ def test_config_validation():
         ha.StepperConfig(n_nodes=2, n_steps=16)
     with pytest.raises(ValueError):
         ha.StepperConfig(n_nodes=33, n_steps=1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^breakpoints must be finite$"):
+            ha.StepperConfig(n_nodes=33, n_steps=16, breakpoints=(0.05, bad))
 
 
 @pytest.mark.parametrize("n_nodes, horizon, message", [
     (65, 0.1, "config n_nodes does not match the initial state's grid"),
-    (33, 0.0, "horizon must be positive"),
-    (33, -0.1, "horizon must be positive"),
-], ids=["n_nodes_mismatch", "zero_horizon", "negative_horizon"])
+    (33, 0.0, "horizon must be positive and finite"),
+    (33, -0.1, "horizon must be positive and finite"),
+    (33, math.nan, "horizon must be positive and finite"),
+    (33, math.inf, "horizon must be positive and finite"),
+], ids=["n_nodes_mismatch", "zero_horizon", "negative_horizon", "nan_horizon", "inf_horizon"])
 def test_step_evolution_rejects_bad_arguments(n_nodes, horizon, message):
     grid = ha.Grid.uniform(1.0, 33)
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -192,6 +197,9 @@ def test_breakpoints_merged_into_time_grid():
     times = cfg.time_grid(0.1)
     assert np.min(np.abs(times - 0.033)) == 0.0
     assert times[0] == 0.0 and times[-1] == 0.1
+    for bad in (math.nan, math.inf, -0.1):
+        with pytest.raises(ValueError, match="^horizon must be positive and finite$"):
+            cfg.time_grid(bad)
 
 
 def _reference_source_row(src, t):
@@ -245,7 +253,8 @@ def _reference_step_evolution(op, xi, src, horizon, cfg):
     return times, values
 
 
-@pytest.mark.parametrize("n_nodes", [3, 4, 5, 65])
+# at 1025 nodes the 67 steps span several row blocks of the finiteness check
+@pytest.mark.parametrize("n_nodes", [3, 4, 5, 65, 1025])
 def test_factored_stepper_matches_per_step_solve_bit_for_bit(n_nodes):
     length, horizon = 1.5, 0.2
     grid = ha.Grid.uniform(length, n_nodes)
@@ -275,6 +284,33 @@ def test_non_finite_state_raises_naming_the_step():
     with np.errstate(all="ignore"):
         with pytest.raises(ha.SingularStep, match="non-finite state at step 0$"):
             ha.step_evolution(op, xi, None, 0.1, cfg)
+
+
+def test_non_finite_state_mid_run_names_its_step_without_a_warning():
+    # q = -400 grows the first mode by about 1.88 per step; step 44 reads a
+    # state near 1e302, where diag * u overflows, so the state it writes is
+    # the first non-finite one, mid-block (blocks of 7 steps start at step 42)
+    grid = ha.Grid.uniform(1.0, 1025)
+    op = ha.OperatorSpec.constant(1.0, q=-400.0)
+    xi = ha.GridFunction(grid, 1e290 * np.sin(np.pi * grid.nodes))
+    cfg = ha.StepperConfig(n_nodes=1025, n_steps=64)
+    with pytest.raises(ha.SingularStep, match="non-finite state at step 44$"):
+        ha.step_evolution(op, xi, None, 0.1, cfg)
+
+
+@pytest.mark.parametrize("scale, message", [
+    (1.0, "implicit matrix singular at step 2"),
+    (1e308, "non-finite state at step 0"),
+], ids=["singular", "non_finite_first"])
+def test_singular_step_matrix_is_named_after_the_states_before_it(scale, message):
+    # h = 0.5 and q = -24 give diag = 16, so I - (dt/2) A is exactly 0 for
+    # dt = 0.125 (steps 2 to 4) and amplifies by 3 for dt = 0.0625 (steps 0, 1)
+    grid = ha.Grid.uniform(1.0, 3)
+    op = ha.OperatorSpec.constant(1.0, q=-24.0)
+    xi = ha.GridFunction(grid, np.array([0.0, scale, 0.0]))
+    cfg = ha.StepperConfig(n_nodes=3, n_steps=4, breakpoints=(0.0625,))
+    with pytest.raises(ha.SingularStep, match=f"^{message}$"):
+        ha.step_evolution(op, xi, None, 0.5, cfg)
 
 
 def test_oracle_module_never_touches_eigen_data():
