@@ -51,7 +51,6 @@ from .weights import (
     IllPosedWeight,
     MultiplierOverflow,
     StabilityConstants,
-    WeightReport,
     WeightSpec,
     stability_constants,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "StepperConfig",
     "TimeOutOfRange",
     "TruncationTooLarge",
-    "WeightReport",
     "WeightSpec",
     "average_from_initial",
     "average_from_source",

@@ -139,10 +139,6 @@ class OperatorSpec:
         return cls(length=float(length), diffusion=float(diffusion), q=float(q))
 
     @classmethod
-    def from_callables(cls, length: float, a, a0) -> "OperatorSpec":
-        return cls(length=float(length), a=a, a0=a0)
-
-    @classmethod
     def from_table(cls, length: float, x, a_values, a0_values) -> "OperatorSpec":
         """Coefficients given as samples; linear interpolation in between."""
         xs, av, a0v = (np.asarray(v, dtype=float) for v in (x, a_values, a0_values))
@@ -154,10 +150,10 @@ class OperatorSpec:
             raise ValueError("coefficient table entries must be finite")
         if not np.all(np.diff(xs) > 0.0):
             raise ValueError("coefficient abscissae must be increasing")
-        return cls.from_callables(
-            length,
-            lambda t, _x=xs, _v=av: np.interp(t, _x, _v),
-            lambda t, _x=xs, _v=a0v: np.interp(t, _x, _v),
+        return cls(
+            float(length),
+            a=lambda t, _x=xs, _v=av: np.interp(t, _x, _v),
+            a0=lambda t, _x=xs, _v=a0v: np.interp(t, _x, _v),
         )
 
     def sample(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +192,6 @@ class EigenSystem:
     ``n_modes`` and ``first_positive`` derive from ``lambdas``.
     """
 
-    op: OperatorSpec
     grid: Grid
     lambdas: np.ndarray
     modes: np.ndarray
@@ -282,7 +277,7 @@ def build_eigensystem(op: OperatorSpec, grid: Grid, n_modes: int) -> EigenSystem
 
     if not np.all(np.diff(lambdas) > 0.0):
         raise ValueError("eigenvalues are not distinct in double precision")
-    return EigenSystem(op, grid, _frozen(lambdas), _frozen(modes))
+    return EigenSystem(grid, _frozen(lambdas), _frozen(modes))
 
 
 def project(f: GridFunction, es: EigenSystem) -> SpectralVector:

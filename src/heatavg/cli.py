@@ -90,9 +90,9 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             cfg = load_config(args.config)
-            report = cfg.weight.validate()
-            if not report.ok:
-                for clause in report.violations:
+            violations = cfg.weight.validate()
+            if violations:
+                for clause in violations:
                     print(f"weight condition violated: {clause}", file=sys.stderr)
                 if args.command == "invert" and args.allow_ill_posed:
                     return _cmd_invert_ill_posed(cfg, args)
@@ -131,7 +131,7 @@ def _cmd_forward(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     es = build_eigensystem(cfg.operator, grid, cfg.n_modes)
     xi = project(read_grid_csv(args.xi_csv, grid), es)
-    src = cfg.source_from_csv(args.phi, grid, es=es) if args.phi else None
+    src = cfg.source_from_csv(args.phi, es=es) if args.phi else None
     field = solve_forward(xi, src, np.linspace(0.0, cfg.weight.horizon, cfg.n_times))
     write_field_csv(_out_dir(args) / "forward.csv", field)
     print(f"forward.csv written: {cfg.n_times} times x {grid.n_nodes} nodes")
@@ -172,10 +172,10 @@ def _cmd_invert(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     es = build_eigensystem(cfg.operator, grid, cfg.n_modes)
     mu = read_grid_csv(args.mu_csv, grid)
-    out = _out_dir(args)
-    src = cfg.source_from_csv(args.phi, grid, es=es) if args.phi else None
+    src = cfg.source_from_csv(args.phi, es=es) if args.phi else None
     times = np.linspace(0.0, cfg.weight.horizon, cfg.n_times)
     field, rep = solve_inverse(mu, src, cfg.weight, es, times=times)
+    out = _out_dir(args)
     write_field_csv(out / "invert_field.csv", field)
     write_grid_csv(out / "invert_initial.csv", synthesize(rep.xi, es))
     (out / "invert_report.txt").write_text("\n".join(_report_lines(rep)) + "\n")
@@ -187,7 +187,7 @@ def _cmd_invert(cfg: RunConfig, args) -> int:
 def _cmd_oracle(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     xi = read_grid_csv(args.xi_csv, grid)
-    src = cfg.source_from_csv(args.phi, grid) if args.phi else None
+    src = cfg.source_from_csv(args.phi) if args.phi else None
     breakpoints = tuple(float(b) for b in cfg.weight.breakpoints())
     stepper = StepperConfig(n_nodes=cfg.n_nodes, n_steps=cfg.n_steps, breakpoints=breakpoints)
     field = step_evolution(cfg.operator, xi, src, cfg.weight.horizon, stepper)
@@ -217,10 +217,10 @@ def _cmd_figure1(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     es = build_eigensystem(cfg.operator, grid, cfg.fig_n_modes)
     ws = cfg.weight
-    out = _out_dir(args)
 
     mu = GridFunction(grid, cusp_bump(grid.nodes, grid.length))
     base_rep = recover_initial(mu, ws, es)
+    out = _out_dir(args)
     base = synthesize(base_rep.xi, es)
     write_grid_csv(out / "figure1_mu.csv", mu)
     write_grid_csv(out / "figure1_initial.csv", base)

@@ -147,7 +147,8 @@ class RunConfig:
     def grid(self) -> Grid:
         return Grid.uniform(self.operator.length, self.n_nodes)
 
-    def source_from_csv(self, path, grid: Grid, es=None) -> SourceTerm:
+    def source_from_csv(self, path, es=None) -> SourceTerm:
+        grid = self.grid()
         times, values = read_space_time_csv(path, grid)
         horizon = self.weight.horizon
         if abs(times[0]) > 1e-12 * horizon or abs(times[-1] - horizon) > 1e-12 * horizon:

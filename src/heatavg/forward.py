@@ -245,19 +245,6 @@ def _duhamel_rows(knot_states, es: EigenSystem, times: np.ndarray) -> np.ndarray
     return phi[0] * states[i] + w * phi[1] * a[i] + w**2 * phi[2] * b[i]
 
 
-def _source_average(src: SourceTerm, es: EigenSystem, ws: WeightSpec) -> np.ndarray:
-    """kappa D(T) + integral_0^T w(t) D(t) dt for all modes, in closed form:
-    a segment with weight v adds v (h phi_1 D_i + h^2 phi_2 a_i + h^3 phi_3 b_i)."""
-    if abs(src.horizon - ws.horizon) > 1e-12 * ws.horizon:
-        raise ValueError("source tabulation does not span the weight horizon")
-    knots, a, b, states, h, phi = _knot_states(src, es, ws.breakpoints())
-    v = ws.value_at(0.5 * (knots[:-1] + knots[1:]))
-    out = v @ (h * phi[1] * states[:-1] + h**2 * phi[2] * a + h**3 * phi[3] * b)
-    if ws.kappa != 0.0:
-        out = out + ws.kappa * states[-1]
-    return out
-
-
 # Field coefficients are filled this many float64 values at a time (64 KiB):
 # a block and its temporaries stay in L2 and below glibc's default 128 KiB
 # mmap threshold, so none of them costs an mmap, its page faults and an munmap.
@@ -304,9 +291,17 @@ def average_from_initial(xi: SpectralVector, ws: WeightSpec) -> SpectralVector:
 
 def average_from_source(src: SourceTerm, ws: WeightSpec, es: EigenSystem) -> SpectralVector:
     """Weighted time average of the zero-initial evolution driven by ``src``
-    in the basis ``es``, exact up to rounding (closed-form weight integrals
-    over the knot states)."""
-    return SpectralVector(es, _source_average(src, es, ws))
+    in the basis ``es``, kappa D(T) + integral_0^T w(t) D(t) dt for all modes,
+    in closed form: a segment with weight v adds
+    v (h phi_1 D_i + h^2 phi_2 a_i + h^3 phi_3 b_i), exact up to rounding."""
+    if abs(src.horizon - ws.horizon) > 1e-12 * ws.horizon:
+        raise ValueError("source tabulation does not span the weight horizon")
+    knots, a, b, states, h, phi = _knot_states(src, es, ws.breakpoints())
+    v = ws.value_at(0.5 * (knots[:-1] + knots[1:]))
+    out = v @ (h * phi[1] * states[:-1] + h**2 * phi[2] * a + h**3 * phi[3] * b)
+    if ws.kappa != 0.0:
+        out = out + ws.kappa * states[-1]
+    return SpectralVector(es, out)
 
 
 def weighted_average(xi: SpectralVector, ws: WeightSpec,

@@ -91,7 +91,7 @@ def _invert(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec, es: EigenS
     (if any) from the data's eigencoefficients and divide by the multipliers.
     The smoothness warning names the line that called the public function."""
     gamma = _checked_projection(mu, es)
-    ill_posed = allow_ill_posed and not ws.validate().ok
+    ill_posed = allow_ill_posed and bool(ws.validate())
     stability = None if ill_posed else stability_constants(ws, es)
 
     source_avg = 0.0 if src is None else average_from_source(src, ws, es).coeffs

@@ -14,13 +14,14 @@ spectral modules is a genuine cross-check rather than a tautology.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from ._lapack import routines
-from .basis import GridFunction, OperatorSpec
+from .basis import GridFunction, GridMismatch, OperatorSpec
 from .forward import _BLOCK_VALUES, SolutionField, SourceTerm, _rows_at, _trapezoid_in_time
 
 
@@ -46,6 +47,8 @@ class StepperConfig:
     breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n_nodes", operator.index(self.n_nodes))
+        object.__setattr__(self, "n_steps", operator.index(self.n_steps))
         if self.n_nodes < 3:
             raise ValueError("need at least 3 spatial nodes")
         if self.n_steps < 2:
@@ -87,9 +90,9 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
 
     grid = xi.grid
     if grid.n_nodes != cfg.n_nodes:
-        raise ValueError("config n_nodes does not match the initial state's grid")
+        raise GridMismatch("config n_nodes does not match the initial state's grid")
     if src is not None and src.grid != grid:
-        raise ValueError("source and initial state use different grids")
+        raise GridMismatch("source and initial state use different grids")
     times = cfg.time_grid(horizon)
 
     a_mid, a0_nodes = op.sample(grid)

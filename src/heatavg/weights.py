@@ -45,15 +45,14 @@ class MultiplierOverflow(ValueError):
         self.mode = mode
 
 
-@dataclass(frozen=True)
-class WeightReport:
-    """Outcome of the admissibility check; violations name the failed clause."""
-
-    violations: tuple[str, ...]
+class WeightReport(tuple):
+    """The violated admissibility clauses of a weight, in order; empty for an
+    admissible weight.  ``ok`` is ``not report``, kept for perfbench's set-up
+    probe, which reads it."""
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ class WeightSpec:
     # -- the contract -------------------------------------------------------
 
     def validate(self) -> WeightReport:
-        """Check admissibility; the report names every violated clause."""
+        """Check admissibility: the tuple of violated clauses, ``()`` if none."""
         violations = []
         if self.kappa < 0.0:
             violations.append("kappa is negative")
@@ -216,7 +215,7 @@ class WeightSpec:
         if (self.t1 is None or not 0.0 < self.t1 <= self.horizon * (1 + 1e-12)
                 or self.ess_inf(self.t1) <= 0.0):
             violations.append("no T1 with ess inf > 0")
-        return WeightReport(tuple(violations))
+        return WeightReport(violations)
 
     def multiplier(self, lam):
         """Closed-form factor by which mode(s) with eigenvalue ``lam`` are
@@ -239,16 +238,17 @@ def stability_constants(ws: WeightSpec, es: EigenSystem) -> StabilityConstants:
     """The one gate for a weight: check admissibility, then compute the
     multiplier band (c1, c2) and verify it mode by mode.
 
-    Raises `IllPosedWeight` when the weight fails admissibility.  The lower
-    constant is min over the leading multipliers and
-    w_* (1 - exp(-lambda_m * T1)); the upper one is max over the leading
-    multipliers and sup w + kappa/(e*T).  Every retained mode is checked
-    against its band; a violation means the implementation is broken, not
-    that the input is bad, hence BoundViolated.
+    Raises `IllPosedWeight` when the weight fails admissibility, and
+    ValueError when a multiplier or c1 is below the smallest normal double:
+    the weight is too small for double precision.  The lower constant is min
+    over the leading multipliers and w_* (1 - exp(-lambda_m * T1)); the upper
+    one is max over the leading multipliers and sup w + kappa/(e*T).  Every
+    retained mode is checked against its band; a violation means the
+    implementation is broken, not that the input is bad, hence BoundViolated.
     """
-    report = ws.validate()
-    if not report.ok:
-        raise IllPosedWeight("; ".join(report.violations))
+    violations = ws.validate()
+    if violations:
+        raise IllPosedWeight("; ".join(violations))
     fp = es.first_positive
     if fp >= es.n_modes:
         raise ValueError("no positive eigenvalue within the truncation; increase the mode count")
@@ -259,6 +259,13 @@ def stability_constants(ws: WeightSpec, es: EigenSystem) -> StabilityConstants:
     leading = mult[: fp + 1]
     c1 = min(float(np.min(leading)), w_star * float(-np.expm1(-lam_m * ws.t1)))
     c2 = max(float(np.max(leading)), ws.sup() + ws.kappa / (math.e * ws.horizon))
+    tiny = np.finfo(float).tiny
+    under = np.flatnonzero(mult < tiny)
+    if under.size:
+        raise ValueError(f"multiplier underflows double precision at mode {under[0] + 1} "
+                         f"(lambda = {lam[under[0]]:g}); the weight is too small")
+    if c1 < tiny:
+        raise ValueError(f"c1 = {c1:g} underflows double precision; the weight is too small")
     if not 0.0 < c1 < c2:
         raise BoundViolated(f"degenerate band c1={c1:g}, c2={c2:g}")
 

@@ -67,7 +67,7 @@ def test_criterion_2_multiplier_bounds(setup):
         "random piecewise weight": ha.WeightSpec.from_pieces(0.7, random_pieces, T),
     }
     for name, ws in cases.items():
-        assert ws.validate().ok, name
+        assert ws.validate() == (), name
         sc = ha.stability_constants(ws, es)  # raises BoundViolated on any failure
         m0 = sc.m - 1
         prod = es.lambdas[m0:] * np.asarray(ws.multiplier(es.lambdas[m0:]))

@@ -29,7 +29,7 @@ def test_tabulated_matches_dense_eigensolver_oracle():
     length, n_nodes, n_modes = 1.0, 101, 5
     grid = ha.Grid.uniform(length, n_nodes)
     a = lambda x: 1.0 + x / 2.0
-    op = ha.OperatorSpec.from_callables(length, a, lambda x: np.zeros_like(x))
+    op = ha.OperatorSpec(length, a=a, a0=lambda x: np.zeros_like(x))
     es = ha.build_eigensystem(op, grid, n_modes)
 
     h = grid.h
@@ -63,8 +63,8 @@ def _reference_tabulated(op, grid, n_modes):
 
 
 @pytest.mark.parametrize("op, n_nodes, n_modes", [
-    (ha.OperatorSpec.from_callables(1.0, lambda x: 1.0 + 0.5 * np.sin(3.0 * x),
-                                    lambda x: 2.0 - x), 1025, 300),
+    (ha.OperatorSpec(1.0, a=lambda x: 1.0 + 0.5 * np.sin(3.0 * x),
+                     a0=lambda x: 2.0 - x), 1025, 300),
     (ha.OperatorSpec.from_table(2 * np.pi, [0.0, 3.0, 2 * np.pi], [1.0, 1.5, 1.0],
                                 [0.0, -0.5, 0.0]), 257, 255),
     (ha.OperatorSpec.from_table(1.0, [0.0, 0.4, 1.0], [0.5, 3.0, 1.0], [30.0, -5.0, 10.0]),
@@ -85,7 +85,7 @@ def test_orthonormality(setup, default_es):
         es = default_es
     else:
         grid = ha.Grid.uniform(1.5, 201)
-        op = ha.OperatorSpec.from_callables(1.5, lambda x: 1.0 + x**2, lambda x: -x)
+        op = ha.OperatorSpec(1.5, a=lambda x: 1.0 + x**2, a0=lambda x: -x)
         es = ha.build_eigensystem(op, grid, 40)
     w = es.grid.trapezoid_weights()
     gram = (es.modes * w) @ es.modes.T
@@ -95,7 +95,7 @@ def test_orthonormality(setup, default_es):
 def test_sign_convention_first_interior_positive(default_es):
     assert np.all(default_es.modes[:, 1] > 0.0)
     grid = ha.Grid.uniform(1.0, 101)
-    op = ha.OperatorSpec.from_callables(1.0, lambda x: 1.0 + x, lambda x: np.zeros_like(x))
+    op = ha.OperatorSpec(1.0, a=lambda x: 1.0 + x, a0=lambda x: np.zeros_like(x))
     es = ha.build_eigensystem(op, grid, 10)
     assert np.all(es.modes[:, 1] > 0.0)
 
@@ -112,8 +112,8 @@ def test_tabulated_path_converges_at_second_order():
     errs = []
     for n_nodes in (101, 201):
         grid = ha.Grid.uniform(length, n_nodes)
-        op = ha.OperatorSpec.from_callables(length, lambda x: np.ones_like(x),
-                                            lambda x: np.full_like(x, -q))
+        op = ha.OperatorSpec(length, a=lambda x: np.ones_like(x),
+                             a0=lambda x: np.full_like(x, -q))
         es = ha.build_eigensystem(op, grid, 1)
         errs.append(abs(es.lambdas[0] - exact))
     ratio = errs[0] / errs[1]
@@ -164,7 +164,7 @@ def test_parseval_identity(pi_es):
 
 def test_non_elliptic_rejected():
     grid = ha.Grid.uniform(1.0, 33)
-    op = ha.OperatorSpec.from_callables(1.0, lambda x: x - 0.5, lambda x: np.zeros_like(x))
+    op = ha.OperatorSpec(1.0, a=lambda x: x - 0.5, a0=lambda x: np.zeros_like(x))
     with pytest.raises(ha.NonElliptic):
         ha.build_eigensystem(op, grid, 3)
     with pytest.raises(ha.NonElliptic):
@@ -196,7 +196,7 @@ def test_grid_rejects_too_few_nodes(n_nodes):
 @pytest.mark.parametrize("build", [
     lambda: ha.Grid.uniform(1.0, 33.7),
     lambda: ha.build_eigensystem(ha.OperatorSpec.constant(1.0), ha.Grid.uniform(1.0, 17), 2.5),
-    lambda: ha.build_eigensystem(ha.OperatorSpec.from_callables(1.0, np.ones_like, np.zeros_like),
+    lambda: ha.build_eigensystem(ha.OperatorSpec(1.0, a=np.ones_like, a0=np.zeros_like),
                                  ha.Grid.uniform(1.0, 17), 2.5),
 ], ids=["grid_nodes", "constant_modes", "tabulated_modes"])
 def test_counts_must_be_integers(build):
@@ -223,17 +223,18 @@ def test_grids_are_equal_by_their_pair(pi_es, length, n_nodes, accepted):
     src = ha.SourceTerm.from_grid_history(grid, [0.0, 0.1], [f.values, 2.0 * f.values])
     xi = ha.basis_vector(pi_es, 0)
     cfg = ha.StepperConfig(n_nodes=pi_es.grid.n_nodes, n_steps=4)
+    op = ha.OperatorSpec.constant(np.pi, q=0.0)  # the pi_es operator
     calls = [
-        (ha.GridMismatch, lambda: ha.project(f, pi_es)),
-        (ha.GridMismatch, lambda: src.coefficients(pi_es)),
-        (ha.GridMismatch, lambda: ha.solve_forward(xi, src, [0.0, 0.1])),
-        (ValueError, lambda: ha.step_evolution(pi_es.op, ha.synthesize(xi, pi_es), src, 0.1, cfg)),
+        lambda: ha.project(f, pi_es),
+        lambda: src.coefficients(pi_es),
+        lambda: ha.solve_forward(xi, src, [0.0, 0.1]),
+        lambda: ha.step_evolution(op, ha.synthesize(xi, pi_es), src, 0.1, cfg),
     ]
-    for error, call in calls:
+    for call in calls:
         if accepted:
             call()
         else:
-            with pytest.raises(error, match="different grids"):
+            with pytest.raises(ha.GridMismatch, match="different grids"):
                 call()
 
 
@@ -275,7 +276,7 @@ def test_coefficient_table_rejects_bad_columns(x, a, a0, message):
     (np.ones_like, lambda x: np.where(x > 0.9, np.nan, 0.0)),
 ], ids=["a_inf", "a0_nan"])
 def test_coefficient_callables_must_be_finite_on_the_grid(a, a0):
-    op = ha.OperatorSpec.from_callables(1.0, a, a0)
+    op = ha.OperatorSpec(1.0, a=a, a0=a0)
     with pytest.raises(ValueError, match="^operator coefficients must be finite on the grid$"):
         ha.build_eigensystem(op, ha.Grid.uniform(1.0, 17), 3)
 

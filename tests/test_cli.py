@@ -709,6 +709,15 @@ def _rows(text):
     ("spectrum", "run.cfg",
      lambda text: text.replace("case = average", "case = table\ntable = overlap.txt"),
      "overlap.txt: weight pieces must not overlap"),
+    ("spectrum", "run.cfg",
+     lambda text: text.replace("case = average", "case = table\ntable = tiny.txt"),
+     "multiplier underflows double precision at mode 1 (lambda = 0.25); the weight is too small"),
+    ("invert", "run.cfg",
+     lambda text: text.replace("case = average", "case = table\ntable = tiny.txt"),
+     "multiplier underflows double precision at mode 1 (lambda = 0.25); the weight is too small"),
+    ("figure1", "run.cfg",
+     lambda text: text.replace("case = average", "case = table\ntable = tiny.txt"),
+     "multiplier underflows double precision at mode 1 (lambda = 0.25); the weight is too small"),
 ], ids=["no_config", "no_L", "no_T", "quasi_no_epsilon", "epsilon_zero", "epsilon_beyond_T",
         "table_case_no_table", "unknown_case", "missing_table_file", "grid_csv_header",
         "grid_csv_abscissae", "source_two_columns", "source_partial_block",
@@ -718,12 +727,14 @@ def _rows(text):
         "figure1_N_not_an_integer", "L_not_a_number", "q_not_a_number",
         "diffusion_not_a_number", "T_not_a_number", "T_not_positive", "kappa_not_a_number",
         "epsilon_not_a_number", "T1_not_a_number", "figure1_delta_not_a_number",
-        "frequency_not_a_number", "overlapping_weight_table"])
+        "frequency_not_a_number", "overlapping_weight_table", "spectrum_underflowing_weight",
+        "invert_underflowing_weight", "figure1_underflowing_weight"])
 def test_input_error_names_its_cause(small_setup, tmp_path, command, name, change, cause):
     # ``change`` rewrites one input file; None deletes it
     cfg, grid, *_ = small_setup
     (tmp_path / "big_a.txt").write_text("0.0 1e306 0.0\n7.0 1e306 0.0\n")
     (tmp_path / "overlap.txt").write_text("0.0 0.06 1.0\n0.04 0.1 1.0\n")
+    (tmp_path / "tiny.txt").write_text("0.0 0.1 1e-310\n")
     write_grid_csv(tmp_path / "xi.csv", ha.GridFunction(grid, np.sin(grid.nodes / 2.0)))
     times = np.linspace(0.0, T, 3)
     write_field_csv(tmp_path / "phi.csv",
@@ -734,7 +745,8 @@ def test_input_error_names_its_cause(small_setup, tmp_path, command, name, chang
         (tmp_path / name).unlink()
     else:
         (tmp_path / name).write_text(text)
-    data = [] if command == "spectrum" else [tmp_path / "xi.csv", "--phi", tmp_path / "phi.csv"]
+    data = ([] if command in ("spectrum", "figure1")
+            else [tmp_path / "xi.csv", "--phi", tmp_path / "phi.csv"])
     out = tmp_path / "out"
     proc = run_cli(command, cfg, *data, "--out-dir", out, cwd=tmp_path)
     assert proc.returncode == 3, proc.stderr

@@ -429,7 +429,7 @@ def _pieces_quad(fn, breaks, hi, n=20):
     return sum(fixed_quad(fn, a, b, n=n)[0] for a, b in zip(edges[:-1], edges[1:]))
 
 
-def test_source_average_matches_fine_quadrature_of_duhamel(zero_mode_case):
+def test_average_from_source_matches_fine_quadrature_of_duhamel(zero_mode_case):
     es, knots, src = zero_mode_case
     assert es.lambdas[0] == 0.0
     # kappa > 0, a gap over (0.055, 0.08), weight breakpoints off the source knots
@@ -575,7 +575,7 @@ def test_forward_kernel_matches_unblocked_reference_bit_for_bit(bits_case, n_tim
         patch.setattr(forward, "_phis", _reference_phis)
         decay = _reference_coeffs_at(xi, None, es, times)
         driven = _reference_coeffs_at(xi, src, es, times)
-        averages = [forward._source_average(src, es, ws) for ws in _BITS_WEIGHTS]
+        averages = [ha.average_from_source(src, ws, es).coeffs for ws in _BITS_WEIGHTS]
     for s, want in ((None, decay), (src, driven)):
         _assert_same_bits(forward._coeffs_at(xi, s, times), want)
         _assert_same_bits(ha.solve_forward(xi, s, times).values, want @ es.modes)

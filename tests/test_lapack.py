@@ -14,8 +14,8 @@ def _lapack_results():
     """An oracle field with a source, and tabulated eigenpairs, on 65 nodes."""
     length, n_nodes = 1.5, 65
     grid = ha.Grid.uniform(length, n_nodes)
-    op = ha.OperatorSpec.from_callables(length, lambda x: 1.0 + 0.5 * np.sin(3.0 * x),
-                                        lambda x: 2.0 - x)
+    op = ha.OperatorSpec(length, a=lambda x: 1.0 + 0.5 * np.sin(3.0 * x),
+                         a0=lambda x: 2.0 - x)
     rng = np.random.default_rng(7)
     src = ha.SourceTerm.from_grid_history(grid, [0.0, 0.05, 0.2],
                                           rng.standard_normal((3, n_nodes)))

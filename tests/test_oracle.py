@@ -166,6 +166,11 @@ def test_config_validation():
         ha.StepperConfig(n_nodes=2, n_steps=16)
     with pytest.raises(ValueError):
         ha.StepperConfig(n_nodes=33, n_steps=1)
+    for counts in ({"n_nodes": 33.0, "n_steps": 16}, {"n_nodes": 33, "n_steps": 4.5}):
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            ha.StepperConfig(**counts)
+    cfg = ha.StepperConfig(n_nodes=np.int64(33), n_steps=np.int64(16))
+    assert type(cfg.n_nodes) is int and type(cfg.n_steps) is int
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="^breakpoints must be finite$"):
             ha.StepperConfig(n_nodes=33, n_steps=16, breakpoints=(0.05, bad))
@@ -180,7 +185,8 @@ def test_config_validation():
 ], ids=["n_nodes_mismatch", "zero_horizon", "negative_horizon", "nan_horizon", "inf_horizon"])
 def test_step_evolution_rejects_bad_arguments(n_nodes, horizon, message):
     grid = ha.Grid.uniform(1.0, 33)
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    error = ha.GridMismatch if n_nodes != 33 else ValueError
+    with pytest.raises(error, match=f"^{message}$"):
         ha.step_evolution(ha.OperatorSpec.constant(1.0), _first_mode(grid), None, horizon,
                           ha.StepperConfig(n_nodes=n_nodes, n_steps=16))
 
@@ -258,8 +264,8 @@ def _reference_step_evolution(op, xi, src, horizon, cfg):
 def test_factored_stepper_matches_per_step_solve_bit_for_bit(n_nodes):
     length, horizon = 1.5, 0.2
     grid = ha.Grid.uniform(length, n_nodes)
-    op = ha.OperatorSpec.from_callables(length, lambda x: 1.0 + 0.5 * np.sin(3.0 * x),
-                                        lambda x: 2.0 - x)
+    op = ha.OperatorSpec(length, a=lambda x: 1.0 + 0.5 * np.sin(3.0 * x),
+                         a0=lambda x: 2.0 - x)
     rng = np.random.default_rng(7)
     xi = rng.standard_normal(n_nodes)  # nonzero ends: the stepper must clear them
     # the source stops short of the horizon, so the last steps use its final row

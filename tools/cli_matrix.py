@@ -8,9 +8,9 @@ every case then runs ``python -m heatavg`` from each tree with
 ``OPENBLAS_NUM_THREADS=1`` and ``PYTHONDONTWRITEBYTECODE=1``.  A case is
 identical when the exit code, stdout, stderr (with the case's out-dir path
 replaced by ``<out>``) and the SHA-256 of every file in its ``--out-dir``
-agree.  The matrix is 4 operators x 4 weights x 8 commands, plus ``figure1``
-on each of the 16 configs, on 129 nodes with N = 40 and 128 oracle steps:
-144 cases.  Prints the identical and different counts and each different
+agree.  The matrix is 4 operators x 5 weights x 8 commands, plus ``figure1``
+on each of the 20 configs, on 129 nodes with N = 40 and 128 oracle steps:
+180 cases.  Prints the identical and different counts and each different
 case; exits 1 if any case differs.  Needs only the standard library and
 numpy.
 """
@@ -48,8 +48,10 @@ WEIGHTS = {
     "quasi": "case = quasi\nepsilon = 0.01\n",
     "table": "case = table\ntable = w.txt\nkappa = 0.5\nT1 = 0.03\n",
     "zero": "case = zero\nkappa = 1\n",
+    "tiny": "case = table\ntable = tiny.txt\n",
 }
 WEIGHT_TABLE = "0.0 0.03 1.0\n0.03 0.07 0.5\n0.07 0.1 2.0\n"
+TINY_TABLE = "0.0 0.1 1e-310\n"  # multipliers below the smallest normal double
 
 COMMANDS = {
     "spectrum": ["spectrum", "{cfg}"],
@@ -78,6 +80,7 @@ def write_inputs(root: Path) -> list[str]:
          ((xj, t, (1.0 + t / HORIZON) * np.sin(np.pi * xj / LENGTH)) for t in times for xj in x))
     (root / "coeffs.txt").write_text(COEFF_TABLE)
     (root / "w.txt").write_text(WEIGHT_TABLE)
+    (root / "tiny.txt").write_text(TINY_TABLE)
     configs = []
     for (op, op_text), (w, w_text) in itertools.product(OPERATORS.items(), WEIGHTS.items()):
         name = f"{op}__{w}.cfg"
