@@ -131,7 +131,7 @@ def _cmd_forward(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     es = build_eigensystem(cfg.operator, grid, cfg.n_modes)
     xi = project(read_grid_csv(args.xi_csv, grid), es)
-    src = cfg.source_from_csv(args.phi, es=es) if args.phi else None
+    src = cfg.source_from_csv(args.phi) if args.phi else None
     field = solve_forward(xi, src, np.linspace(0.0, cfg.weight.horizon, cfg.n_times))
     write_field_csv(_out_dir(args) / "forward.csv", field)
     print(f"forward.csv written: {cfg.n_times} times x {grid.n_nodes} nodes")
@@ -172,7 +172,7 @@ def _cmd_invert(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     es = build_eigensystem(cfg.operator, grid, cfg.n_modes)
     mu = read_grid_csv(args.mu_csv, grid)
-    src = cfg.source_from_csv(args.phi, es=es) if args.phi else None
+    src = cfg.source_from_csv(args.phi) if args.phi else None
     times = np.linspace(0.0, cfg.weight.horizon, cfg.n_times)
     field, rep = solve_inverse(mu, src, cfg.weight, es, times=times)
     out = _out_dir(args)

@@ -147,7 +147,7 @@ class RunConfig:
     def grid(self) -> Grid:
         return Grid.uniform(self.operator.length, self.n_nodes)
 
-    def source_from_csv(self, path, es=None) -> SourceTerm:
+    def source_from_csv(self, path) -> SourceTerm:
         grid = self.grid()
         times, values = read_space_time_csv(path, grid)
         horizon = self.weight.horizon
@@ -156,7 +156,7 @@ class RunConfig:
         t = np.array(times)
         t[0] = 0.0
         t[-1] = horizon
-        return SourceTerm.from_grid_history(grid, t, values, es=es)
+        return SourceTerm.from_grid_history(grid, t, values)
 
 
 def load_config(path) -> RunConfig:

@@ -121,6 +121,8 @@ class SolutionField:
             raise ValueError("time instants must be one-dimensional")
         if self.values.shape != (self.times.size, self.grid.n_nodes):
             raise ValueError("values must be one row of grid values per time")
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("time instants must be finite")
         if not np.all(np.diff(self.times) > 0.0):
             raise ValueError("time instants must be strictly increasing")
 
@@ -169,11 +171,10 @@ class SourceTerm(SolutionField):
         return float(self.times[-1])
 
     @classmethod
-    def from_callable(cls, grid: Grid, fn: Callable, times,
-                      es: EigenSystem | None = None) -> "SourceTerm":
+    def from_callable(cls, grid: Grid, fn: Callable, times) -> "SourceTerm":
         times = np.asarray(times, dtype=float)
         values = np.array([np.asarray(fn(grid.nodes, t), dtype=float) for t in times])
-        return cls(grid=grid, times=times, values=values, es=es)
+        return cls(grid=grid, times=times, values=values)
 
     @classmethod
     def from_grid_history(cls, grid: Grid, times, values,
@@ -205,7 +206,7 @@ def _checked_times(times, horizon: float) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1:
         raise ValueError("time instants must be one-dimensional")
-    bad = ~((times >= 0.0) & (times <= horizon * (1.0 + 1e-12)))
+    bad = ~((times >= 0.0) & (times <= horizon * (1.0 + 1e-12)) & np.isfinite(times))
     if np.any(bad):
         raise TimeOutOfRange(f"t = {times[bad][0]:g} outside [0, {horizon:g}]")
     return times
@@ -273,8 +274,8 @@ def _coeffs_at(alpha: SpectralVector, src: SourceTerm | None, times) -> np.ndarr
 
 def solve_forward(xi: SpectralVector, src: SourceTerm | None, times) -> SolutionField:
     """Evolve initial coefficients, driven by ``src`` if given; the field
-    holds the grid values at ``times``, each at least 0 and, with a source,
-    at most its horizon (else `TimeOutOfRange`)."""
+    holds the grid values at ``times``, each finite and at least 0 and, with
+    a source, at most its horizon (else `TimeOutOfRange`)."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     values = _coeffs_at(xi, src, times) @ xi.es.modes
     return SolutionField(grid=xi.es.grid, times=times, values=values)

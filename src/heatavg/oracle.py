@@ -4,8 +4,8 @@ Crank-Nicolson time stepping of the diffusion problem with Dirichlet rows
 enforced exactly, plus weighted trapezoid averaging in time.  Neither makes
 a temporary the size of the field: each step is formed and solved in its
 own row, with its products in reused scratch rows, and the average is one
-contraction of the field with per-time weights.  Finiteness is checked once
-per block of rows, and the first non-finite state names the step that wrote
+contraction of the field with per-time weights.  Finiteness is checked once,
+on the last state, and the first non-finite state names the step that wrote
 it.  This module assembles its own difference operator from the
 OperatorSpec samples and never touches eigen data, so agreement with the
 spectral modules is a genuine cross-check rather than a tautology.
@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from ._lapack import routines
 from .basis import GridFunction, GridMismatch, OperatorSpec
-from .forward import _BLOCK_VALUES, SolutionField, SourceTerm, _rows_at, _trapezoid_in_time
+from .forward import SolutionField, SourceTerm, _rows_at, _trapezoid_in_time
 
 
 class SingularStep(RuntimeError):
@@ -72,19 +71,22 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
                    horizon: float, cfg: StepperConfig) -> SolutionField:
     """March the diffusion forward from ``xi`` with Crank-Nicolson steps.
 
-    The step matrix I - (dt/2) A is LU-factored once per distinct step size
-    (LAPACK ``dgttrf``) before the march; each step then forms its right-hand
-    side in the next row of the field and back-solves it there (``dgttrs``),
-    so every state is written once.  Both routines come from scipy's LAPACK
-    extension, loaded without importing `scipy.linalg` (`_lapack.routines`).
-    The source row at each step time comes from `forward._rows_at`, the rule
-    of the source's `slice_at`, one row at a time: linear between knots, held
-    at the last row beyond the last knot.
+    The step matrix I - (dt/2) A is LU-factored (LAPACK ``dgttrf``) when its
+    step size is first met; each step then forms its right-hand side in the
+    next row of the field and back-solves it there (``dgttrs``), so every
+    state is written once.  Both routines come from scipy's LAPACK extension,
+    loaded without importing `scipy.linalg` (`_lapack.routines`).  The source
+    row at each step time comes from `forward._rows_at`, the rule of the
+    source's `slice_at`, one row at a time: linear between knots, held at the
+    last row beyond the last knot.
 
-    The march runs in blocks of about `forward._BLOCK_VALUES` values, with
-    floating-point warnings off; after each block its states are checked
-    once, and the first non-finite one raises `SingularStep` naming the step
-    that produced it (step n writes state n + 1).
+    The march stops at the first singular step matrix, with floating-point
+    warnings off.  A right-hand side holds its own state and the back-solve
+    only adds, multiplies and divides by finite factors, so a non-finite
+    state never turns finite again: the last state marched is checked once,
+    and only if it fails are the states scanned for the first non-finite one,
+    which raises `SingularStep` naming the step that produced it (step n
+    writes state n + 1), ahead of a singular matrix.
     """
     dgttrf, dgttrs = routines("dgttrf", "dgttrs")
 
@@ -105,62 +107,57 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     values = np.zeros((times.size, grid.n_nodes))
     values[0, 1:-1] = xi.values[1:-1]
 
-    # The Dirichlet rows join the system as unit rows with zero right-hand
-    # side: the boundary stays exactly zero, and the system has the three or
-    # more unknowns scipy's dgttrf wrapper needs even on a 3-node grid.
-    # ``plan`` holds each step's (LU factors, 0.5 dt off, 0.5 dt), up to the
-    # first singular matrix; the march reports earlier non-finite states first.
-    plan, factors, singular = [], {}, None
-    for n, dt in enumerate(np.diff(times).tolist()):
-        if dt not in factors:
-            dl = np.zeros(grid.n_nodes - 1)
-            dl[1:-1] = -0.5 * dt * off
-            du = dl.copy()
-            d = np.ones(grid.n_nodes)
-            d[1:-1] = 1.0 - 0.5 * dt * diag
-            *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-            if info > 0:
-                singular = n
-                break
-            # 0.5 * dt * off * u[1:] evaluates 0.5 * dt * off first,
-            # so caching that product leaves every step's bits unchanged
-            factors[dt] = lu, 0.5 * dt * off, 0.5 * dt
-        plan.append(factors[dt])
-
     if src is not None:
         source_rows = _rows_at(src.times, src.values[:, 1:-1], times)
         phi_now = next(source_rows)
         drive = np.empty(grid.n_nodes - 2)
     off_term = np.empty(grid.n_nodes - 3)
-    # each state's interior, and that interior less its last (head) or first
-    # (tail) node; step n reads state n and writes state n + 1
+    # ``factors`` maps each step size met so far to its (LU factors,
+    # 0.5 dt off, 0.5 dt); each state's interior, and that interior less its
+    # last (head) or first (tail) node: step n reads state n and writes n + 1
+    factors, last, singular = {}, times.size - 1, None
     interior, head, tail = values[:, 1:-1], values[:, 1:-2], values[:, 2:-1]
     u, u_head, u_tail = interior[0], head[0], tail[0]
-    steps = zip(plan, values[1:], interior[1:], head[1:], tail[1:])
-    block = max(1, _BLOCK_VALUES // grid.n_nodes)
+    steps = zip(np.diff(times).tolist(), values[1:], interior[1:], head[1:], tail[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(plan), block):
-            for (lu, half_off, half_dt), state, rhs, rhs_head, rhs_tail in islice(steps, block):
-                # u + 0.5 dt (diag u), then the off-diagonal terms; the ends stay 0
-                np.multiply(diag, u, out=rhs)
-                rhs *= half_dt
-                rhs += u
-                np.multiply(half_off, u_tail, out=off_term)
-                rhs_head += off_term
-                np.multiply(half_off, u_head, out=off_term)
-                rhs_tail += off_term
-                if src is not None:
-                    # 0.5 dt (phi_now + phi_next)
-                    phi_next = next(source_rows)
-                    np.add(phi_now, phi_next, out=drive)
-                    drive *= half_dt
-                    rhs += drive
-                    phi_now = phi_next
-                dgttrs(*lu, state, overwrite_b=1)
-                u, u_head, u_tail = rhs, rhs_head, rhs_tail
-            finite = np.isfinite(values[start + 1:start + 1 + block]).all(axis=1)
-            if not finite.all():
-                raise SingularStep(f"non-finite state at step {start + int(finite.argmin())}")
+        for n, (dt, state, rhs, rhs_head, rhs_tail) in enumerate(steps):
+            if dt not in factors:
+                # The Dirichlet rows join as unit rows with zero right-hand
+                # side: the boundary stays exactly zero, and even a 3-node
+                # grid gives the three unknowns scipy's dgttrf wrapper needs.
+                dl = np.zeros(grid.n_nodes - 1)
+                dl[1:-1] = -0.5 * dt * off
+                du = dl.copy()
+                d = np.ones(grid.n_nodes)
+                d[1:-1] = 1.0 - 0.5 * dt * diag
+                *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+                if info > 0:
+                    last = singular = n
+                    break
+                # 0.5 * dt * off * u[1:] evaluates 0.5 * dt * off first,
+                # so caching that product leaves every step's bits unchanged
+                factors[dt] = lu, 0.5 * dt * off, 0.5 * dt
+            lu, half_off, half_dt = factors[dt]
+            # u + 0.5 dt (diag u), then the off-diagonal terms; the ends stay 0
+            np.multiply(diag, u, out=rhs)
+            rhs *= half_dt
+            rhs += u
+            np.multiply(half_off, u_tail, out=off_term)
+            rhs_head += off_term
+            np.multiply(half_off, u_head, out=off_term)
+            rhs_tail += off_term
+            if src is not None:
+                # 0.5 dt (phi_now + phi_next)
+                phi_next = next(source_rows)
+                np.add(phi_now, phi_next, out=drive)
+                drive *= half_dt
+                rhs += drive
+                phi_now = phi_next
+            dgttrs(*lu, state, overwrite_b=1)
+            u, u_head, u_tail = rhs, rhs_head, rhs_tail
+    if not np.isfinite(values[last]).all():
+        finite = np.isfinite(values[1:last + 1]).all(axis=1)
+        raise SingularStep(f"non-finite state at step {int(finite.argmin())}")
     if singular is not None:
         raise SingularStep(f"implicit matrix singular at step {singular}")
 

@@ -88,7 +88,7 @@ def test_criterion_3_oracle_cross_validation():
         knots = np.array([0.0, T / 3.0, T / 2.0, T])
         src = ha.SourceTerm.from_callable(
             grid, lambda x, t: (1.0 + 3.0 * t / T) * np.sin(x / 2.0)
-            * (1.0 + 0.3 * np.cos(x)), knots, es=es)
+            * (1.0 + 0.3 * np.cos(x)), knots)
         cfg = ha.StepperConfig(n_nodes=n_nodes, n_steps=n_steps,
                                breakpoints=tuple(ws.breakpoints()))
         ofield = ha.step_evolution(op, xi, src, T, cfg)

@@ -231,8 +231,7 @@ def test_invert_with_source_round_trip(small_setup, tmp_path):
     cfg, grid, op, es = small_setup
     ws = ha.WeightSpec.average(T)
     times = np.linspace(0.0, T, 4)
-    src = ha.SourceTerm.from_callable(grid, lambda x, t: (1 + t / T) * np.sin(x / 2.0),
-                                      times, es=es)
+    src = ha.SourceTerm.from_callable(grid, lambda x, t: (1 + t / T) * np.sin(x / 2.0), times)
     write_field_csv(tmp_path / "phi.csv", src, column="phi")
     xi = ha.project(ha.GridFunction(grid, np.sin(grid.nodes / 2.0)), es)
     mu_coeffs = (ha.average_from_initial(xi, ws).coeffs

@@ -57,6 +57,14 @@ def test_solve_forward_names_bad_times(pi_es, with_source, times, error, message
         ha.solve_forward(ha.basis_vector(pi_es, 0), src, times)
 
 
+@pytest.mark.parametrize("q", [0.0, -5.0], ids=["q0", "q-5"])
+def test_solve_forward_refuses_an_infinite_time_without_a_source(q):
+    # out of range by name: never a field ending at t = inf, nor an overflow blamed on a mode
+    es = ha.build_eigensystem(ha.OperatorSpec.constant(np.pi, q=q), ha.Grid.uniform(np.pi, 33), 8)
+    with pytest.raises(ha.TimeOutOfRange, match=r"^t = inf outside \[0, inf\]$"):
+        ha.solve_forward(ha.basis_vector(es, 0), None, [0.0, math.inf])
+
+
 @pytest.mark.parametrize("times, message", [
     ([0.0], "need at least two time instants"),
     ([0.0, 0.05, 0.05], "time instants must be strictly increasing"),
@@ -78,6 +86,13 @@ def test_source_term_rejects_bad_tabulation(pi_es, times, message):
 def test_history_records_reject_bad_shapes(record, times, shape, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         record(ha.Grid.uniform(1.0, 5), times, np.ones(shape))
+
+
+@pytest.mark.parametrize("record", [ha.SourceTerm, ha.SolutionField], ids=["source", "field"])
+@pytest.mark.parametrize("last", [math.inf, math.nan], ids=["inf", "nan"])
+def test_history_records_reject_non_finite_times(record, last):
+    with pytest.raises(ValueError, match="^time instants must be finite$"):
+        record(ha.Grid.uniform(1.0, 5), [0.0, last], np.ones((2, 5)))
 
 
 def test_a_source_is_a_field():
@@ -360,7 +375,7 @@ def test_average_from_source_matches_oracle():
     ws = ha.WeightSpec.quasi_boundary(horizon, eps=0.05, kappa=1.0)
     times = np.array([0.0, horizon / 3, horizon])
     src = ha.SourceTerm.from_callable(
-        grid, lambda x, t: (1.0 + t) * np.sin(x) * np.exp(-x / 2), times, es=es
+        grid, lambda x, t: (1.0 + t) * np.sin(x) * np.exp(-x / 2), times
     )
     spectral = ha.synthesize(ha.average_from_source(src, ws, es), es)
     cfg = ha.StepperConfig(n_nodes=257, n_steps=512, breakpoints=tuple(ws.breakpoints()))

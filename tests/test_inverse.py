@@ -138,7 +138,7 @@ def test_manufactured_solution_recovery():
                          * np.exp(-grid.nodes / 2.0) / length)
     times = np.array([0.0, horizon / 3.0, horizon])
     src = ha.SourceTerm.from_callable(
-        grid, lambda x, t: (1.0 + 2.0 * t / horizon) * np.sin(x / 2.0), times, es=es
+        grid, lambda x, t: (1.0 + 2.0 * t / horizon) * np.sin(x / 2.0), times
     )
     cfg = ha.StepperConfig(n_nodes=n_nodes, n_steps=n_steps,
                            breakpoints=tuple(ws.breakpoints()))
@@ -209,7 +209,7 @@ def test_recovered_field_satisfies_discrete_pde():
                              * np.exp(-grid.nodes / 2.0) / length)
         times = np.array([0.0, horizon / 2.0, horizon])
         src = ha.SourceTerm.from_callable(
-            grid, lambda x, t: (1.0 + t / horizon) * np.sin(x / 2.0), times, es=es
+            grid, lambda x, t: (1.0 + t / horizon) * np.sin(x / 2.0), times
         )
         coeffs = (ha.average_from_initial(ha.project(xi, es), ws).coeffs
                   + ha.average_from_source(src, ws, es).coeffs)

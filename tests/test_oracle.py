@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 import heatavg as ha
@@ -223,7 +225,8 @@ def _reference_source_row(src, t):
 
 def _reference_step_evolution(op, xi, src, horizon, cfg):
     """Reference: a banded solve at every step, with `step_evolution`'s former
-    arithmetic verbatim and its input and finiteness checks left out."""
+    arithmetic verbatim and its input and finiteness checks left out; it
+    marches on through non-finite states."""
     grid = xi.grid
     a_mid, a0_nodes = op.sample(grid)
     h = grid.h
@@ -254,12 +257,11 @@ def _reference_step_evolution(op, xi, src, horizon, cfg):
             phi_next = _reference_source_row(src, times[n + 1])[1:-1]
             rhs += 0.5 * dt * (phi_now + phi_next)
             phi_now = phi_next
-        u = solve_banded((1, 1), ab, rhs)
+        u = solve_banded((1, 1), ab, rhs, check_finite=False)
         values[n + 1, 1:-1] = u
     return times, values
 
 
-# at 1025 nodes the 67 steps span several row blocks of the finiteness check
 @pytest.mark.parametrize("n_nodes", [3, 4, 5, 65, 1025])
 def test_factored_stepper_matches_per_step_solve_bit_for_bit(n_nodes):
     length, horizon = 1.5, 0.2
@@ -295,13 +297,49 @@ def test_non_finite_state_raises_naming_the_step():
 def test_non_finite_state_mid_run_names_its_step_without_a_warning():
     # q = -400 grows the first mode by about 1.88 per step; step 44 reads a
     # state near 1e302, where diag * u overflows, so the state it writes is
-    # the first non-finite one, mid-block (blocks of 7 steps start at step 42)
+    # the first non-finite one: state 45 of 64, so not the last state
     grid = ha.Grid.uniform(1.0, 1025)
     op = ha.OperatorSpec.constant(1.0, q=-400.0)
     xi = ha.GridFunction(grid, 1e290 * np.sin(np.pi * grid.nodes))
     cfg = ha.StepperConfig(n_nodes=1025, n_steps=64)
     with pytest.raises(ha.SingularStep, match="non-finite state at step 44$"):
         ha.step_evolution(op, xi, None, 0.1, cfg)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(q=st.floats(-4000.0, -100.0), amplitude=st.floats(1e250, 1e300),
+       n_nodes=st.integers(3, 65), n_steps=st.integers(16, 128),
+       with_source=st.booleans(), tabulated=st.booleans())
+def test_overflowing_run_names_the_first_non_finite_state(q, amplitude, n_nodes, n_steps,
+                                                          with_source, tabulated):
+    # a run may overflow at any step; the one check of the last state must
+    # still name the reference's first non-finite state (step n writes state
+    # n + 1), and a run that stays finite must give the reference's bits
+    length, horizon = 1.3, 0.1
+    grid = ha.Grid.uniform(length, n_nodes)
+    if tabulated:
+        op = ha.OperatorSpec.from_table(length, [0.0, 0.5, length], [1.0, 1.4, 0.8],
+                                        [-q, -0.8 * q, -1.2 * q])
+    else:
+        op = ha.OperatorSpec.constant(length, q=q)
+    shape = np.sin(np.pi * grid.nodes / length)
+    xi = ha.GridFunction(grid, amplitude * shape)
+    src = None
+    if with_source:
+        knots = np.array([0.0, horizon / 3.0, horizon])
+        history = np.outer(amplitude * (1.0 - knots), shape)
+        src = ha.SourceTerm.from_grid_history(grid, knots, history)
+    cfg = ha.StepperConfig(n_nodes=n_nodes, n_steps=n_steps)
+    with np.errstate(all="ignore"):
+        _, ref = _reference_step_evolution(op, xi, src, horizon, cfg)
+    finite = np.isfinite(ref).all(axis=1)
+    if finite.all():
+        field = ha.step_evolution(op, xi, src, horizon, cfg)
+        assert np.array_equal(field.values, ref)
+    else:
+        first = int(finite.argmin())
+        with pytest.raises(ha.SingularStep, match=f"^non-finite state at step {first - 1}$"):
+            ha.step_evolution(op, xi, src, horizon, cfg)
 
 
 @pytest.mark.parametrize("scale, message", [

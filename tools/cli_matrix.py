@@ -8,11 +8,12 @@ every case then runs ``python -m heatavg`` from each tree with
 ``OPENBLAS_NUM_THREADS=1`` and ``PYTHONDONTWRITEBYTECODE=1``.  A case is
 identical when the exit code, stdout, stderr (with the case's out-dir path
 replaced by ``<out>``) and the SHA-256 of every file in its ``--out-dir``
-agree.  The matrix is 4 operators x 5 weights x 8 commands, plus ``figure1``
+agree.  The matrix is 4 operators x 5 weights x 9 commands, plus ``figure1``
 on each of the 20 configs, on 129 nodes with N = 40 and 128 oracle steps:
-180 cases.  Prints the identical and different counts and each different
-case; exits 1 if any case differs.  Needs only the standard library and
-numpy.
+200 cases.  One oracle case starts from a profile near 1e306, whose first
+step overflows, so the matrix also compares the non-finite-state error.
+Prints the identical and different counts and each different case; exits 1
+if any case differs.  Needs only the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ COMMANDS = {
     "invert_ill_posed": ["invert", "{cfg}", "mu.csv", "--allow-ill-posed"],
     "oracle": ["oracle", "{cfg}", "xi.csv"],
     "oracle_phi": ["oracle", "{cfg}", "xi.csv", "--phi", "phi.csv"],
+    "oracle_overflow": ["oracle", "{cfg}", "huge.csv"],
 }
 
 
@@ -74,6 +76,7 @@ def write_inputs(root: Path) -> list[str]:
     """Write the tables, profiles and configs under ``root``; return the config names."""
     x = np.linspace(0.0, LENGTH, N_NODES)
     _csv(root / "xi.csv", "x,value", zip(x, x * (LENGTH - x) * np.exp(-x / 2.0)))
+    _csv(root / "huge.csv", "x,value", zip(x, 1e306 * x * (LENGTH - x) * np.exp(-x / 2.0)))
     _csv(root / "mu.csv", "x,value", zip(x, 0.19 * np.sin(np.pi * x / LENGTH)))
     times = np.linspace(0.0, HORIZON, 5)
     _csv(root / "phi.csv", "x,t,phi",
