@@ -35,6 +35,7 @@ from .forward import (
 from .inverse import (
     BoundaryViolation,
     InverseReport,
+    fit_data,
     norm_h2,
     recover_initial,
     solve_inverse,
@@ -81,6 +82,7 @@ __all__ = [
     "average_from_source",
     "basis_vector",
     "build_eigensystem",
+    "fit_data",
     "norm_h2",
     "project",
     "recover_initial",

@@ -219,6 +219,8 @@ class SpectralVector:
         object.__setattr__(self, "coeffs", coeffs)
         if coeffs.shape != (self.es.n_modes,):
             raise ValueError("coefficient count does not match the eigensystem")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("spectral coefficients must be finite")
 
 
 def basis_vector(es: EigenSystem, k: int) -> SpectralVector:

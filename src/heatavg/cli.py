@@ -31,7 +31,7 @@ from .fileio import (
     write_grid_csv,
 )
 from .forward import solve_forward
-from .inverse import recover_initial, solve_inverse
+from .inverse import fit_data, recover_initial, solve_inverse
 from .oracle import SingularStep, StepperConfig, step_evolution, time_average
 from .profiles import cusp_bump, oscillatory_bump
 from .weights import BoundViolated, stability_constants
@@ -138,31 +138,27 @@ def _cmd_forward(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _report_lines(rep) -> list[str]:
-    c1 = rep.stability.c1 if rep.stability else float("nan")
-    c2 = rep.stability.c2 if rep.stability else float("nan")
-    return [
-        f"residual_mu = {rep.residual_mu:.17g}",
-        f"amplification = {rep.amplification:.17g}",
-        f"c1 = {c1:.17g}",
-        f"c2 = {c2:.17g}",
-        f"truncation_residual = {rep.truncation_residual:.17g}",
-    ]
+def _report_text(*values: float) -> str:
+    """``invert_report.txt``: one ``key = value`` line for each of residual_mu,
+    amplification, c1, c2 and truncation_residual, in that order."""
+    keys = ("residual_mu", "amplification", "c1", "c2", "truncation_residual")
+    return "".join(f"{key} = {value:.17g}\n" for key, value in zip(keys, values))
 
 
 def _cmd_invert_ill_posed(cfg: RunConfig, args) -> int:
-    """``invert --allow-ill-posed`` with an inadmissible weight: write the
-    blow-up diagnostics and keep the ill-posed exit code."""
+    """``invert --allow-ill-posed`` with an inadmissible weight: write the blow-up
+    diagnostics (NaN for the figures it leaves undefined), exit ill-posed."""
     grid = cfg.grid()
     es = build_eigensystem(cfg.operator, grid, cfg.n_modes)
-    mu = read_grid_csv(args.mu_csv, grid)
-    out = _out_dir(args)
-    rep = recover_initial(mu, cfg.weight, es, allow_ill_posed=True)
+    fit = fit_data(read_grid_csv(args.mu_csv, grid), es)
     with np.errstate(divide="ignore", over="ignore"):
         amp = 1.0 / np.abs(cfg.weight.multiplier(es.lambdas))
+    fit.warn_if_rough()
+    out = _out_dir(args)
     _write_csv(out / "amplification.csv", "k,lambda,amplification",
                range(1, es.n_modes + 1), [[es.lambdas, amp]])
-    (out / "invert_report.txt").write_text("\n".join(_report_lines(rep)) + "\n")
+    (out / "invert_report.txt").write_text(
+        _report_text(np.nan, float(np.max(amp)), np.nan, np.nan, fit.truncation_residual))
     print("amplification.csv and invert_report.txt written despite the "
           "inadmissible weight", file=sys.stderr)
     return EXIT_ILL_POSED
@@ -175,12 +171,13 @@ def _cmd_invert(cfg: RunConfig, args) -> int:
     src = cfg.source_from_csv(args.phi) if args.phi else None
     times = np.linspace(0.0, cfg.weight.horizon, cfg.n_times)
     field, rep = solve_inverse(mu, src, cfg.weight, es, times=times)
+    sc = rep.stability
+    report = _report_text(rep.residual_mu, rep.amplification, sc.c1, sc.c2, rep.truncation_residual)
     out = _out_dir(args)
     write_field_csv(out / "invert_field.csv", field)
     write_grid_csv(out / "invert_initial.csv", synthesize(rep.xi, es))
-    (out / "invert_report.txt").write_text("\n".join(_report_lines(rep)) + "\n")
-    for line in _report_lines(rep):
-        print(line)
+    (out / "invert_report.txt").write_text(report)
+    print(report, end="")
     return EXIT_OK
 
 

@@ -208,7 +208,9 @@ def _checked_times(times, horizon: float) -> np.ndarray:
         raise ValueError("time instants must be one-dimensional")
     bad = ~((times >= 0.0) & (times <= horizon * (1.0 + 1e-12)) & np.isfinite(times))
     if np.any(bad):
-        raise TimeOutOfRange(f"t = {times[bad][0]:g} outside [0, {horizon:g}]")
+        t = times[bad][0]
+        where = f"outside [0, {horizon:g}]" if np.isfinite(t) else "is not finite"
+        raise TimeOutOfRange(f"t = {t:g} {where}")
     return times
 
 

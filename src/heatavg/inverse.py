@@ -5,12 +5,8 @@ k by a strictly positive multiplier.  Inversion is therefore plain per-mode
 division; admissibility of the weight (checked up front) guarantees the
 reciprocals grow at most linearly with the eigenvalue, so no damping or
 filtering is applied.  Modes beyond the truncation are set to zero and the
-report carries the truncation residual so the bias is visible.
-
-The excluded configuration (terminal coefficient only, zero weight) makes
-the multipliers decay exponentially; inverting it is refused unless the
-caller explicitly overrides, in which case the report documents the
-amplification instead of pretending the division is trustworthy.
+report carries the truncation residual so the bias is visible.  An
+inadmissible weight, such as the pure-terminal one, is refused.
 """
 
 from __future__ import annotations
@@ -35,13 +31,14 @@ class InverseReport:
 
     ``residual_mu`` is the coefficient 2-norm of the re-applied average
     minus the data, ``||alpha * multiplier + source average - gamma||`` over
-    the retained modes (NaN for an inadmissible weight); truncation is
-    reported separately, as ``truncation_residual``, the L2 norm of the part
-    of the data the retained modes cannot represent.  Near 1e-14 both are
+    the retained modes; truncation is reported separately, as
+    ``truncation_residual``, the L2 norm of the part of the data the
+    retained modes cannot represent.  Near 1e-14 both are
     rounding noise, not a measured error: for data in the span of the modes
     the truncation residual reads 5e-15 to 2e-14, and its trailing digits
     move with the summation order.  ``amplification`` is the largest
-    reciprocal multiplier that was used; ``h2_tail_fraction`` measures how
+    reciprocal multiplier that was used and ``stability`` the weight's band
+    from `stability_constants`; ``h2_tail_fraction`` measures how
     much of the curvature-norm sum comes from the last decade of modes
     (large values mean the data's second-derivative norm has not
     converged and the stability guarantee is shaky).
@@ -50,26 +47,16 @@ class InverseReport:
     xi: SpectralVector
     residual_mu: float
     amplification: float
-    stability: StabilityConstants | None
+    stability: StabilityConstants
     truncation_residual: float
     h2_tail_fraction: float
 
 
-def _checked_projection(mu: GridFunction, es: EigenSystem) -> np.ndarray:
+def _checked_projection(mu: GridFunction, es: EigenSystem) -> SpectralVector:
     scale = 1.0 + float(np.max(np.abs(mu.values)))
     if abs(mu.values[0]) > 1e-12 * scale or abs(mu.values[-1]) > 1e-12 * scale:
         raise BoundaryViolation("averaged data must be zero at both interval ends")
-    return project(mu, es).coeffs
-
-
-def _h2_surrogate(gamma: np.ndarray, lambdas: np.ndarray) -> tuple[float, float]:
-    terms = (gamma * lambdas) ** 2
-    total = float(np.sum(terms))
-    if total == 0.0:
-        return 0.0, 0.0
-    tail_start = int(0.9 * terms.size)
-    tail = float(np.sum(terms[tail_start:]))
-    return float(np.sqrt(total)), tail / total
+    return project(mu, es)
 
 
 def norm_h2(f: GridFunction, es: EigenSystem) -> float:
@@ -80,66 +67,74 @@ def norm_h2(f: GridFunction, es: EigenSystem) -> float:
     second-order Sobolev norm; it is the quantity the stability estimate is
     phrased in.
     """
-    gamma = _checked_projection(f, es)
-    value, _ = _h2_surrogate(gamma, es.lambdas)
-    return value
+    gamma = _checked_projection(f, es).coeffs
+    return float(np.sqrt(np.sum((gamma * es.lambdas) ** 2)))
 
 
-def _invert(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec, es: EigenSystem,
-            allow_ill_posed: bool = False) -> InverseReport:
+@dataclass(frozen=True)
+class DataFit:
+    """The weight-independent part of an inversion, from `fit_data`: the
+    data's eigencoefficients ``gamma`` and, as `InverseReport` defines them,
+    its truncation residual and curvature-tail fraction."""
+
+    gamma: np.ndarray
+    truncation_residual: float
+    h2_tail_fraction: float
+
+    def warn_if_rough(self, stacklevel: int = 1) -> None:
+        """Warn when the last decade of modes holds over 1% of the curvature
+        norm; ``stacklevel`` counts from the caller, as in `warnings.warn`."""
+        if self.h2_tail_fraction > 0.01:
+            warnings.warn(
+                "curvature-norm partial sums have not converged (last decade of "
+                f"modes contributes {100 * self.h2_tail_fraction:.1f}%); "
+                "the prescribed average may lack the smoothness the stability "
+                "guarantee assumes",
+                stacklevel=stacklevel + 1,
+            )
+
+
+def fit_data(mu: GridFunction, es: EigenSystem) -> DataFit:
+    """Project averaged data ``mu``, which must vanish at both interval ends
+    (else `BoundaryViolation`), and measure what the modes miss of it."""
+    gamma = _checked_projection(mu, es)
+    truncation = GridFunction(mu.grid, mu.values - synthesize(gamma, es).values).norm_l2()
+    terms = (gamma.coeffs * es.lambdas) ** 2  # the curvature-norm sum of `norm_h2`, by mode
+    total = float(np.sum(terms))
+    tail = float(np.sum(terms[int(0.9 * terms.size):])) / total if total else 0.0
+    return DataFit(gamma.coeffs, truncation, tail)
+
+
+def _invert(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec,
+            es: EigenSystem) -> InverseReport:
     """The one inversion step: subtract the source's averaged contribution
     (if any) from the data's eigencoefficients and divide by the multipliers.
     The smoothness warning names the line that called the public function."""
-    gamma = _checked_projection(mu, es)
-    ill_posed = allow_ill_posed and bool(ws.validate())
-    stability = None if ill_posed else stability_constants(ws, es)
-
+    fit = fit_data(mu, es)
+    stability = stability_constants(ws, es)
     source_avg = 0.0 if src is None else average_from_source(src, ws, es).coeffs
-    reduced = gamma - source_avg
+    reduced = fit.gamma - source_avg
     mult = np.asarray(ws.multiplier(es.lambdas))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        alpha = reduced / mult
-        amplification = float(1.0 / np.min(np.abs(mult)))
-
-    residual = float("nan")
-    if stability is not None:
-        replay = alpha * mult
-        scale = 1.0 + float(np.max(np.abs(reduced)))
-        if float(np.max(np.abs(replay - reduced))) > 1e-12 * scale:
-            raise RuntimeError("re-applied average drifted from the data; inversion is corrupt")
-        residual = float(np.linalg.norm(replay + source_avg - gamma))
-
-    back = synthesize(SpectralVector(es, gamma), es)
-    truncation = GridFunction(mu.grid, mu.values - back.values).norm_l2()
-    _, tail = _h2_surrogate(gamma, es.lambdas)
-    if tail > 0.01:
-        warnings.warn(
-            "curvature-norm partial sums have not converged "
-            f"(last decade of modes contributes {100 * tail:.1f}%); "
-            "the prescribed average may lack the smoothness the stability "
-            "guarantee assumes",
-            stacklevel=3,
-        )
+    xi = SpectralVector(es, reduced / mult)
+    replay = xi.coeffs * mult
+    scale = 1.0 + float(np.max(np.abs(reduced)))
+    if float(np.max(np.abs(replay - reduced))) > 1e-12 * scale:
+        raise RuntimeError("re-applied average drifted from the data; inversion is corrupt")
+    fit.warn_if_rough(3)
     return InverseReport(
-        xi=SpectralVector(es, alpha),
-        residual_mu=residual,
-        amplification=amplification,
+        xi=xi,
+        residual_mu=float(np.linalg.norm(replay + source_avg - fit.gamma)),
+        amplification=float(1.0 / np.min(np.abs(mult))),
         stability=stability,
-        truncation_residual=truncation,
-        h2_tail_fraction=tail,
+        truncation_residual=fit.truncation_residual,
+        h2_tail_fraction=fit.h2_tail_fraction,
     )
 
 
-def recover_initial(mu: GridFunction, ws: WeightSpec, es: EigenSystem,
-                    allow_ill_posed: bool = False) -> InverseReport:
-    """Divide the data's eigencoefficients by the multipliers.
-
-    Raises IllPosedWeight when the weight fails admissibility, unless
-    ``allow_ill_posed`` is set, in which case the division is performed
-    anyway (possibly producing non-finite coefficients) purely so the
-    report can document the amplification.
-    """
-    return _invert(mu, None, ws, es, allow_ill_posed)
+def recover_initial(mu: GridFunction, ws: WeightSpec, es: EigenSystem) -> InverseReport:
+    """Divide the data's eigencoefficients by the multipliers; raises
+    `IllPosedWeight` when the weight fails admissibility."""
+    return _invert(mu, None, ws, es)
 
 
 def solve_inverse(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec,

@@ -287,6 +287,14 @@ def test_spectral_vector_needs_one_coefficient_per_mode(pi_es, shape):
         ha.SpectralVector(pi_es, np.zeros(shape))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_spectral_vector_needs_finite_coefficients(pi_es, bad):
+    coeffs = np.zeros(pi_es.n_modes)
+    coeffs[3] = bad
+    with pytest.raises(ValueError, match="^spectral coefficients must be finite$"):
+        ha.SpectralVector(pi_es, coeffs)
+
+
 def test_eigensystem_rejects_a_grid_of_another_length():
     with pytest.raises(ha.GridMismatch, match="grid does not span the operator's interval"):
         ha.build_eigensystem(ha.OperatorSpec.constant(np.pi), ha.Grid.uniform(3.0, 65), 5)

@@ -300,6 +300,41 @@ def test_ill_posed_override_warning_names_the_cli(small_setup, tmp_path):
     assert [Path(w.filename).name for w in record] == ["cli.py"]
 
 
+def test_ill_posed_override_reports_nan_where_the_band_is_undefined(tmp_path):
+    # 255 modes on 257 nodes: exp(-lambda T) underflows to 0 in the tail, so the
+    # largest reciprocal multiplier is inf; the data-side figure is the admissible one
+    grid = ha.Grid.uniform(L, 257)
+    write_grid_csv(tmp_path / "mu.csv", ha.GridFunction(grid, 0.19 * np.sin(grid.nodes / 2.0)))
+    reports = {}
+    for name, weight, flags, code in (("ill", "kappa = 1.0\ncase = zero", ["--allow-ill-posed"], 4),
+                                      ("avg", "case = average", [], 0)):
+        cfg = write_config(tmp_path / f"{name}.cfg", weight=weight, n_modes=255)
+        proc = run_cli("invert", cfg, tmp_path / "mu.csv", *flags, "--out-dir", tmp_path / name,
+                       cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        reports[name] = (tmp_path / name / "invert_report.txt").read_text().splitlines()
+    assert reports["ill"][:4] == ["residual_mu = nan", "amplification = inf", "c1 = nan", "c2 = nan"]
+    assert reports["ill"][4] == reports["avg"][4]
+    assert reports["ill"][4].startswith("truncation_residual = ")
+
+
+@pytest.mark.parametrize("weight, flags, first", [
+    ("case = average", [], ""),
+    ("case = average", ["--allow-ill-posed"], ""),
+    ("kappa = 1.0\ncase = zero", ["--allow-ill-posed"],
+     "weight condition violated: no T1 with ess inf > 0\n"),
+], ids=["admissible", "admissible_with_flag", "ill_posed_with_flag"])
+def test_data_nonzero_at_an_end_is_input_error_without_an_out_dir(tmp_path, weight, flags, first):
+    cfg = write_config(tmp_path / "run.cfg", weight=weight)
+    grid = ha.Grid.uniform(L, 257)
+    write_grid_csv(tmp_path / "mu.csv", ha.GridFunction(grid, np.cos(grid.nodes / 2.0)))
+    out = tmp_path / "out"
+    proc = run_cli("invert", cfg, tmp_path / "mu.csv", *flags, "--out-dir", out, cwd=tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr == first + "input error: averaged data must be zero at both interval ends\n"
+    assert not out.exists()
+
+
 def test_weight_table_config(tmp_path):
     (tmp_path / "w.txt").write_text("0.0 0.05 2.0\n0.05 0.1 1.0\n")
     cfg = write_config(tmp_path / "run.cfg", weight="kappa = 0.5\ncase = table\ntable = w.txt")

@@ -47,8 +47,8 @@ def test_evolve_rejects_bad_times(pi_es):
 
 @pytest.mark.parametrize("with_source, times, error, message", [
     (False, [[0.0, 0.05]], ValueError, "^time instants must be one-dimensional$"),
-    (False, [math.nan], ha.TimeOutOfRange, r"^t = nan outside \[0, inf\]$"),
-    (True, [0.0, math.nan], ha.TimeOutOfRange, r"^t = nan outside \[0, 0.1\]$"),
+    (False, [math.nan], ha.TimeOutOfRange, r"^t = nan is not finite$"),
+    (True, [0.0, math.nan], ha.TimeOutOfRange, r"^t = nan is not finite$"),
 ], ids=["two_dimensional", "nan_without_source", "nan_with_source"])
 def test_solve_forward_names_bad_times(pi_es, with_source, times, error, message):
     # refused by name before any mode is evaluated, never blamed on an eigenvalue
@@ -61,7 +61,7 @@ def test_solve_forward_names_bad_times(pi_es, with_source, times, error, message
 def test_solve_forward_refuses_an_infinite_time_without_a_source(q):
     # out of range by name: never a field ending at t = inf, nor an overflow blamed on a mode
     es = ha.build_eigensystem(ha.OperatorSpec.constant(np.pi, q=q), ha.Grid.uniform(np.pi, 33), 8)
-    with pytest.raises(ha.TimeOutOfRange, match=r"^t = inf outside \[0, inf\]$"):
+    with pytest.raises(ha.TimeOutOfRange, match=r"^t = inf is not finite$"):
         ha.solve_forward(ha.basis_vector(es, 0), None, [0.0, math.inf])
 
 

@@ -49,36 +49,6 @@ def test_inadmissible_weight_refused(pi_es):
         ha.solve_inverse(mu, None, ws, pi_es)
 
 
-def test_override_documents_exponential_amplification(default_es):
-    # terminal-only data: the reciprocal multipliers are exp(lambda T)/kappa
-    # and cross 1e12 within the first few dozen modes
-    ws = ha.WeightSpec.terminal(T, kappa=1.0)
-    mu = ha.GridFunction(default_es.grid, default_es.modes[0])
-    rep = ha.recover_initial(mu, ws, default_es, allow_ill_posed=True)
-    lam = default_es.lambdas[:60]  # exp(lam*T) stays within double range here
-    mult = np.asarray(ws.multiplier(lam))
-    assert np.allclose(1.0 / mult, np.exp(lam * T), rtol=1e-12)
-    crossing = int(np.argmax(1.0 / mult > 1e12)) + 1
-    assert 1 < crossing <= 40
-    assert rep.amplification > 1e12
-    assert rep.stability is None
-
-
-def test_override_keeps_the_raw_quotient(default_es):
-    # multipliers underflow to 0 in the tail, so zero data gives 0/0 there:
-    # the report shows the NaN coefficients rather than masking them
-    ws = ha.WeightSpec.terminal(T, kappa=1.0)
-    mu = ha.GridFunction.zeros(default_es.grid)
-    rep = ha.recover_initial(mu, ws, default_es, allow_ill_posed=True)
-    gamma = ha.project(mu, default_es).coeffs
-    mult = np.asarray(ws.multiplier(default_es.lambdas))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        expected = gamma / mult
-    np.testing.assert_array_equal(rep.xi.coeffs, expected)
-    assert np.any(np.isnan(rep.xi.coeffs))
-    assert math.isnan(rep.residual_mu) and rep.amplification == math.inf
-
-
 def test_amplification_is_the_largest_reciprocal_multiplier(default_es, avg_ws):
     # a correctly rounded reciprocal is monotone, so 1/min|m| has the bits of max 1/|m|
     rep = ha.recover_initial(ha.GridFunction(default_es.grid, default_es.modes[0]),

@@ -1,10 +1,12 @@
 """Generated-input properties of the operator, the weight contract, the
 multiplier band, the inversion (round trip and linearity), the CSV files
-(bit-exact round trip) and the CLI's exit codes on malformed input.
+(bit-exact round trip), the CLI's exit codes on malformed input and the
+refusal of bad arguments to the public calls.
 Deterministic: derandomized, with no example database."""
 
 import contextlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,3 +279,64 @@ def test_malformed_input_exits_with_a_documented_code(tmp_path_factory, command,
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 2, 3, 4)
+
+
+# One argument of a public call replaced by a bad value: a scalar by NaN or
+# ±inf, an array by one with such an entry or one axis too many, the mode
+# count by a non-integral number.  A record argument is built from the bad
+# value, so the record or the call must refuse it.
+_PROBE_GRID = ha.Grid.uniform(np.pi, 17)
+_PROBE_TIMES = np.array([0.0, 0.05, 0.1])
+_PROBE_ARGS = {"mu": np.sin(_PROBE_GRID.nodes), "xi": np.ones(5), "phi": np.ones((3, 17)),
+               "times": _PROBE_TIMES, "kappa": 0.5, "horizon": 0.1, "n_modes": 5}
+_PROBE_CALLS = {
+    "recover_initial": ("mu", "kappa", "horizon", "n_modes"),
+    "solve_inverse": ("mu", "phi", "kappa", "horizon", "n_modes", "times"),
+    "solve_forward": ("xi", "phi", "n_modes", "times"),
+    "average_from_initial": ("xi", "kappa", "horizon", "n_modes"),
+    "weighted_average": ("xi", "phi", "kappa", "horizon", "n_modes"),
+}
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def bad_calls(draw):
+    call = draw(st.sampled_from(sorted(_PROBE_CALLS)))
+    name = draw(st.sampled_from(_PROBE_CALLS[call]))
+    args = dict(_PROBE_ARGS)
+    if name == "n_modes":
+        args[name] = draw(st.floats(1.0, 15.0).filter(lambda c: not c.is_integer()))
+    elif np.ndim(args[name]) == 0:
+        args[name] = draw(_NON_FINITE)
+    elif draw(st.booleans()):
+        args[name] = args[name][None]
+    else:
+        args[name] = args[name].copy()
+        args[name].flat[draw(st.integers(0, args[name].size - 1))] = draw(_NON_FINITE)
+    return call, args
+
+
+def _probe(call, args):
+    es = ha.build_eigensystem(ha.OperatorSpec.constant(np.pi), _PROBE_GRID, args["n_modes"])
+    ws = ha.WeightSpec.average(args["horizon"], args["kappa"])
+    src = ha.SourceTerm(_PROBE_GRID, _PROBE_TIMES, args["phi"])
+    mu = ha.GridFunction(_PROBE_GRID, args["mu"])
+    xi = ha.SpectralVector(es, args["xi"])
+    return {
+        "recover_initial": lambda: ha.recover_initial(mu, ws, es),
+        "solve_inverse": lambda: ha.solve_inverse(mu, src, ws, es, args["times"]),
+        "solve_forward": lambda: ha.solve_forward(xi, src, args["times"]),
+        "average_from_initial": lambda: ha.average_from_initial(xi, ws),
+        "weighted_average": lambda: ha.weighted_average(xi, ws, src),
+    }[call]()
+
+
+@SMALL
+@given(case=bad_calls())
+@example(case=("average_from_initial", {**_PROBE_ARGS, "xi": np.full(5, np.nan)}))
+@pytest.mark.filterwarnings("error")
+def test_public_calls_refuse_a_bad_argument_by_name(case):
+    # the error is raised by heatavg's own code, never numpy's, and no warning comes first
+    with pytest.raises((ValueError, TypeError)) as info:
+        _probe(*case)
+    assert info.traceback[-1].path.parent == Path(ha.__file__).parent, info.getrepr()

@@ -8,10 +8,14 @@ every case then runs ``python -m heatavg`` from each tree with
 ``OPENBLAS_NUM_THREADS=1`` and ``PYTHONDONTWRITEBYTECODE=1``.  A case is
 identical when the exit code, stdout, stderr (with the case's out-dir path
 replaced by ``<out>``) and the SHA-256 of every file in its ``--out-dir``
-agree.  The matrix is 4 operators x 5 weights x 9 commands, plus ``figure1``
+agree.  The matrix is 4 operators x 5 weights x 13 commands, plus ``figure1``
 on each of the 20 configs, on 129 nodes with N = 40 and 128 oracle steps:
-200 cases.  One oracle case starts from a profile near 1e306, whose first
+280 cases.  One oracle case starts from a profile near 1e306, whose first
 step overflows, so the matrix also compares the non-finite-state error.
+Besides the smooth average, ``invert`` and ``invert --allow-ill-posed`` each
+read a hat profile, whose curvature tail passes the 1% warning threshold,
+and a ramp that is nonzero at ``x = L``, which both refuse as an input error.
+Only files are hashed, so an empty out-dir and a missing one compare equal.
 Prints the identical and different counts and each different case; exits 1
 if any case differs.  Needs only the standard library and numpy.
 """
@@ -61,6 +65,10 @@ COMMANDS = {
     "invert": ["invert", "{cfg}", "mu.csv"],
     "invert_phi": ["invert", "{cfg}", "mu.csv", "--phi", "phi.csv"],
     "invert_ill_posed": ["invert", "{cfg}", "mu.csv", "--allow-ill-posed"],
+    "invert_hat": ["invert", "{cfg}", "hat.csv"],
+    "invert_hat_ill_posed": ["invert", "{cfg}", "hat.csv", "--allow-ill-posed"],
+    "invert_ramp": ["invert", "{cfg}", "ramp.csv"],
+    "invert_ramp_ill_posed": ["invert", "{cfg}", "ramp.csv", "--allow-ill-posed"],
     "oracle": ["oracle", "{cfg}", "xi.csv"],
     "oracle_phi": ["oracle", "{cfg}", "xi.csv", "--phi", "phi.csv"],
     "oracle_overflow": ["oracle", "{cfg}", "huge.csv"],
@@ -78,6 +86,8 @@ def write_inputs(root: Path) -> list[str]:
     _csv(root / "xi.csv", "x,value", zip(x, x * (LENGTH - x) * np.exp(-x / 2.0)))
     _csv(root / "huge.csv", "x,value", zip(x, 1e306 * x * (LENGTH - x) * np.exp(-x / 2.0)))
     _csv(root / "mu.csv", "x,value", zip(x, 0.19 * np.sin(np.pi * x / LENGTH)))
+    _csv(root / "hat.csv", "x,value", zip(x, 0.19 * np.minimum(x, LENGTH - x)))
+    _csv(root / "ramp.csv", "x,value", zip(x, 0.19 * x / LENGTH))
     times = np.linspace(0.0, HORIZON, 5)
     _csv(root / "phi.csv", "x,t,phi",
          ((xj, t, (1.0 + t / HORIZON) * np.sin(np.pi * xj / LENGTH)) for t in times for xj in x))
