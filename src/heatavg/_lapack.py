@@ -45,6 +45,6 @@ def _flapack():
 
 
 def routines(*names: str) -> tuple:
-    """The named LAPACK wrappers, e.g. ``routines("dgttrf", "dgttrs")``."""
+    """The named LAPACK wrappers, e.g. ``routines("dpttrf", "dpttrs")``."""
     module = _flapack()
     return tuple(getattr(module, name) for name in names)

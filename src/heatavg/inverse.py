@@ -95,12 +95,15 @@ class DataFit:
 
 
 def fit_data(mu: GridFunction, es: EigenSystem) -> DataFit:
-    """Project averaged data ``mu``, which must vanish at both interval ends
-    (else `BoundaryViolation`), and measure what the modes miss of it."""
+    """Project averaged data ``mu``, zero at both ends (else `BoundaryViolation`)
+    with norms that fit a double (else `ValueError`), and measure what the modes miss of it."""
     gamma = _checked_projection(mu, es)
-    truncation = GridFunction(mu.grid, mu.values - synthesize(gamma, es).values).norm_l2()
-    terms = (gamma.coeffs * es.lambdas) ** 2  # the curvature-norm sum of `norm_h2`, by mode
-    total = float(np.sum(terms))
+    with np.errstate(over="ignore"):
+        truncation = GridFunction(mu.grid, mu.values - synthesize(gamma, es).values).norm_l2()
+        terms = (gamma.coeffs * es.lambdas) ** 2  # the curvature-norm sum of `norm_h2`, by mode
+        total = float(np.sum(terms))
+    if not np.isfinite([truncation, total]).all():
+        raise ValueError("averaged data too large: its norms overflow double precision")
     tail = float(np.sum(terms[int(0.9 * terms.size):])) / total if total else 0.0
     return DataFit(gamma.coeffs, truncation, tail)
 

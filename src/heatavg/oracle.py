@@ -1,14 +1,14 @@
 """Finite-difference verification path, kept independent of the eigenbasis.
 
-Crank-Nicolson time stepping of the diffusion problem with Dirichlet rows
-enforced exactly, plus weighted trapezoid averaging in time.  Neither makes
-a temporary the size of the field: each step is formed and solved in its
-own row, with its products in reused scratch rows, and the average is one
-contraction of the field with per-time weights.  Finiteness is checked once,
-on the last state, and the first non-finite state names the step that wrote
-it.  This module assembles its own difference operator from the
-OperatorSpec samples and never touches eigen data, so agreement with the
-spectral modules is a genuine cross-check rather than a tautology.
+Crank-Nicolson time stepping of the diffusion problem, one L D L^T solve on
+the interior nodes per step, plus weighted trapezoid averaging in time.
+Neither makes a temporary the size of the field: each step is formed and
+solved in its own row, with its products in reused scratch rows, and the
+average is one contraction of the field with per-time weights.  Finiteness
+is checked once, on the last state, and the first non-finite state names
+the step that wrote it.  This module assembles its own difference operator
+from the OperatorSpec samples and never touches eigen data, so agreement
+with the spectral modules is a genuine cross-check rather than a tautology.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .forward import SolutionField, SourceTerm, _rows_at, _trapezoid_in_time
 
 
 class SingularStep(RuntimeError):
-    """The implicit step matrix was singular; coefficients are corrupt."""
+    """A step matrix is not positive definite, or a state is not finite."""
 
 
 class BreakpointUnresolved(ValueError):
@@ -71,24 +71,26 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
                    horizon: float, cfg: StepperConfig) -> SolutionField:
     """March the diffusion forward from ``xi`` with Crank-Nicolson steps.
 
-    The step matrix I - (dt/2) A is LU-factored (LAPACK ``dgttrf``) when its
-    step size is first met; each step then forms its right-hand side in the
-    next row of the field and back-solves it there (``dgttrs``), so every
-    state is written once.  Both routines come from scipy's LAPACK extension,
-    loaded without importing `scipy.linalg` (`_lapack.routines`).  The source
-    row at each step time comes from `forward._rows_at`, the rule of the
-    source's `slice_at`, one row at a time: linear between knots, held at the
-    last row beyond the last knot.
+    The interior step matrix I - (dt/2) A is symmetric: it is factored as
+    L D L^T, with no pivots (LAPACK ``dpttrf``), when its step size is first
+    met; each step then forms its right-hand side in the interior of the
+    next row of the field and back-solves it there (``dpttrs``), so every
+    state is written once and the boundary stays zero.  Both routines come
+    from scipy's LAPACK extension, loaded without importing `scipy.linalg`
+    (`_lapack.routines`).  The source row at each step time comes from
+    `forward._rows_at`, the rule of the source's `slice_at`, one row at a
+    time: linear between knots, held at the last row beyond the last knot.
 
-    The march stops at the first singular step matrix, with floating-point
-    warnings off.  A right-hand side holds its own state and the back-solve
-    only adds, multiplies and divides by finite factors, so a non-finite
-    state never turns finite again: the last state marched is checked once,
-    and only if it fails are the states scanned for the first non-finite one,
-    which raises `SingularStep` naming the step that produced it (step n
-    writes state n + 1), ahead of a singular matrix.
+    The march stops at the first step matrix that is not positive definite
+    (``dpttrf`` refuses it: dt is too large for a negative eigenvalue), with
+    floating-point warnings off.  A right-hand side holds its own state and
+    the back-solve only adds, multiplies and divides by finite factors, so a
+    non-finite state never turns finite again: the last state marched is
+    checked once, and only if it fails are the states scanned for the first
+    non-finite one, which raises `SingularStep` naming the step that produced
+    it (step n writes state n + 1), ahead of a refused step matrix.
     """
-    dgttrf, dgttrs = routines("dgttrf", "dgttrs")
+    dpttrf, dpttrs = routines("dpttrf", "dpttrs")
 
     grid = xi.grid
     if grid.n_nodes != cfg.n_nodes:
@@ -100,8 +102,9 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     a_mid, a0_nodes = op.sample(grid)
     h = grid.h
     # Interior difference operator of (a u')' + a0 u: symmetric tridiagonal,
-    # ``off`` both above and below ``diag``.
-    off = a_mid[1:-1] / h**2
+    # ``off`` both above and below ``diag``; a 3-node grid's 1 x 1 matrix gets
+    # one dummy entry, which the wrappers want and LAPACK never reads
+    off = a_mid[1:-1] / h**2 if grid.n_nodes > 3 else np.zeros(1)
     diag = -(a_mid[:-1] + a_mid[1:]) / h**2 + a0_nodes[1:-1]
 
     values = np.zeros((times.size, grid.n_nodes))
@@ -112,33 +115,26 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
         phi_now = next(source_rows)
         drive = np.empty(grid.n_nodes - 2)
     off_term = np.empty(grid.n_nodes - 3)
-    # ``factors`` maps each step size met so far to its (LU factors,
+    # ``factors`` maps each step size met so far to its (L D L^T factors,
     # 0.5 dt off, 0.5 dt); each state's interior, and that interior less its
     # last (head) or first (tail) node: step n reads state n and writes n + 1
-    factors, last, singular = {}, times.size - 1, None
+    factors, last, refused = {}, times.size - 1, None
     interior, head, tail = values[:, 1:-1], values[:, 1:-2], values[:, 2:-1]
     u, u_head, u_tail = interior[0], head[0], tail[0]
-    steps = zip(np.diff(times).tolist(), values[1:], interior[1:], head[1:], tail[1:])
+    steps = zip(np.diff(times).tolist(), interior[1:], head[1:], tail[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, (dt, state, rhs, rhs_head, rhs_tail) in enumerate(steps):
+        for n, (dt, rhs, rhs_head, rhs_tail) in enumerate(steps):
             if dt not in factors:
-                # The Dirichlet rows join as unit rows with zero right-hand
-                # side: the boundary stays exactly zero, and even a 3-node
-                # grid gives the three unknowns scipy's dgttrf wrapper needs.
-                dl = np.zeros(grid.n_nodes - 1)
-                dl[1:-1] = -0.5 * dt * off
-                du = dl.copy()
-                d = np.ones(grid.n_nodes)
-                d[1:-1] = 1.0 - 0.5 * dt * diag
-                *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+                *ldl, info = dpttrf(1.0 - 0.5 * dt * diag, -0.5 * dt * off,
+                                    overwrite_d=1, overwrite_e=1)
                 if info > 0:
-                    last = singular = n
+                    last = refused = n
                     break
                 # 0.5 * dt * off * u[1:] evaluates 0.5 * dt * off first,
                 # so caching that product leaves every step's bits unchanged
-                factors[dt] = lu, 0.5 * dt * off, 0.5 * dt
-            lu, half_off, half_dt = factors[dt]
-            # u + 0.5 dt (diag u), then the off-diagonal terms; the ends stay 0
+                factors[dt] = ldl, 0.5 * dt * off, 0.5 * dt
+            ldl, half_off, half_dt = factors[dt]
+            # u + 0.5 dt (diag u), then the off-diagonal terms
             np.multiply(diag, u, out=rhs)
             rhs *= half_dt
             rhs += u
@@ -153,13 +149,14 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
                 drive *= half_dt
                 rhs += drive
                 phi_now = phi_next
-            dgttrs(*lu, state, overwrite_b=1)
+            dpttrs(*ldl, rhs, overwrite_b=1)
             u, u_head, u_tail = rhs, rhs_head, rhs_tail
     if not np.isfinite(values[last]).all():
         finite = np.isfinite(values[1:last + 1]).all(axis=1)
         raise SingularStep(f"non-finite state at step {int(finite.argmin())}")
-    if singular is not None:
-        raise SingularStep(f"implicit matrix singular at step {singular}")
+    if refused is not None:
+        raise SingularStep(f"step matrix not positive definite at step {refused}: "
+                           f"dt = {dt:g} is too large for a negative eigenvalue")
 
     return SolutionField(grid=grid, times=times, values=values)
 

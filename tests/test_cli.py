@@ -72,9 +72,9 @@ def test_oracle_and_tabulated_spectrum_do_not_import_scipy_linalg(tmp_path):
         "             ['spectrum', 'table.cfg']):\n"
         "    assert cli.main([*argv, '--out-dir', 'out']) == 0, argv\n"
         "    assert 'scipy.linalg' not in sys.modules, argv\n"
-        "dgttrf, = _lapack.routines('dgttrf')\n"
+        "dpttrf, = _lapack.routines('dpttrf')\n"
         "import scipy.linalg\n"
-        "assert scipy.linalg.lapack.dgttrf is dgttrf\n"
+        "assert scipy.linalg.lapack.dpttrf is dpttrf\n"
     )
     proc = subprocess.run([sys.executable, "-c", script],
                           cwd=tmp_path, env=child_env(), capture_output=True, text=True)
@@ -332,6 +332,37 @@ def test_data_nonzero_at_an_end_is_input_error_without_an_out_dir(tmp_path, weig
     proc = run_cli("invert", cfg, tmp_path / "mu.csv", *flags, "--out-dir", out, cwd=tmp_path)
     assert proc.returncode == 3
     assert proc.stderr == first + "input error: averaged data must be zero at both interval ends\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--allow-ill-posed"]], ids=["plain", "with_flag"])
+def test_data_whose_norms_overflow_is_input_error_without_an_out_dir(tmp_path, flags):
+    # finite data near 1e300: its projection fits a double, its squared norms do not
+    cfg = write_config(tmp_path / "run.cfg")
+    grid = ha.Grid.uniform(L, 257)
+    huge = 1e300 * np.sin(grid.nodes / 2.0) * np.cos(9.0 * grid.nodes)
+    write_grid_csv(tmp_path / "mu.csv", ha.GridFunction(grid, huge))
+    out = tmp_path / "out"
+    proc = run_cli("invert", cfg, tmp_path / "mu.csv", *flags, "--out-dir", out, cwd=tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr == ("input error: averaged data too large: "
+                           "its norms overflow double precision\n")
+    assert not out.exists()
+
+
+def test_oracle_step_too_large_for_a_growing_solution_is_input_error(tmp_path):
+    # q = -400 on (0, pi) with dt = 0.1 / 16: 1 - 399 dt / 2 < 0, so the first
+    # step matrix is not positive definite
+    cfg = write_config(tmp_path / "run.cfg", n_nodes=65, n_steps=16)
+    cfg.write_text(cfg.read_text().replace(f"L = {L!r}", f"L = {np.pi!r}")
+                   .replace("q = 0.0", "q = -400.0"))
+    grid = ha.Grid.uniform(np.pi, 65)
+    write_grid_csv(tmp_path / "xi.csv", ha.GridFunction(grid, np.sin(grid.nodes)))
+    out = tmp_path / "out"
+    proc = run_cli("oracle", cfg, tmp_path / "xi.csv", "--out-dir", out, cwd=tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr == ("input error: step matrix not positive definite at step 0: "
+                           "dt = 0.00625 is too large for a negative eigenvalue\n")
     assert not out.exists()
 
 

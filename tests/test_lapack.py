@@ -42,7 +42,7 @@ def test_fallback_to_scipy_linalg_gives_the_same_bits(monkeypatch, tmp_path, loc
     fast = _lapack_results()
     monkeypatch.delitem(sys.modules, _lapack._NAME)
     monkeypatch.setattr(_lapack, "_locate", lambda: locate(tmp_path))
-    assert _lapack.routines("dgttrf", "dstebz") == (scipy.linalg.lapack.dgttrf,
+    assert _lapack.routines("dpttrf", "dstebz") == (scipy.linalg.lapack.dpttrf,
                                                     scipy.linalg.lapack.dstebz)
     assert _lapack._NAME not in sys.modules
     for got, want in zip(_lapack_results(), fast, strict=True):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 import heatavg as ha
 import heatavg.oracle
@@ -223,43 +224,51 @@ def _reference_source_row(src, t):
     return (1.0 - s) * src.values[i] + s * src.values[i + 1]
 
 
-def _reference_step_evolution(op, xi, src, horizon, cfg):
-    """Reference: a banded solve at every step, with `step_evolution`'s former
-    arithmetic verbatim and its input and finiteness checks left out; it
-    marches on through non-finite states."""
+def _reference_step_evolution(op, xi, src, horizon, cfg, banded=False):
+    """Reference: `step_evolution`'s arithmetic with a fresh L D L^T
+    factorization and solve at every step (``dpttrf``, ``dpttrs``; or
+    `solve_banded` when ``banded``), on fresh arrays, with no cache and no
+    in-place writes, and with its input and finiteness checks left out: it
+    marches on through non-finite states and stops before the first step
+    whose matrix ``dpttrf`` refuses.  Returns the times, the states and that
+    step, or None."""
     grid = xi.grid
     a_mid, a0_nodes = op.sample(grid)
     h = grid.h
-    # Interior difference operator: lower/diag/upper of (a u')' + a0 u.
-    lower = a_mid[1:-1] / h**2
+    # Interior difference operator: off-diagonal and diagonal of (a u')' + a0 u.
+    off = a_mid[1:-1] / h**2
     diag = -(a_mid[:-1] + a_mid[1:]) / h**2 + a0_nodes[1:-1]
-    upper = a_mid[1:-1] / h**2
 
     times = cfg.time_grid(horizon)
     n_int = grid.n_nodes - 2
     values = np.zeros((times.size, grid.n_nodes))
-    values[0] = xi.values
-    values[0, 0] = 0.0
-    values[0, -1] = 0.0
+    values[0, 1:-1] = xi.values[1:-1]
 
     u = values[0, 1:-1].copy()
     phi_now = _reference_source_row(src, 0.0)[1:-1] if src is not None else None
     for n in range(times.size - 1):
         dt = times[n + 1] - times[n]
-        ab = np.zeros((3, n_int))
-        ab[0, 1:] = -0.5 * dt * upper
-        ab[1, :] = 1.0 - 0.5 * dt * diag
-        ab[2, :-1] = -0.5 * dt * lower
+        # a 3-node grid's 1 x 1 matrix still needs one (unread) off-diagonal entry
+        d, e, info = dpttrf(1.0 - 0.5 * dt * diag, -0.5 * dt * off if off.size else np.zeros(1))
+        if info > 0:
+            return times, values, n
         rhs = u + 0.5 * dt * (diag * u)
-        rhs[:-1] += 0.5 * dt * upper * u[1:]
-        rhs[1:] += 0.5 * dt * lower * u[:-1]
+        rhs[:-1] += 0.5 * dt * off * u[1:]
+        rhs[1:] += 0.5 * dt * off * u[:-1]
         if src is not None:
             phi_next = _reference_source_row(src, times[n + 1])[1:-1]
             rhs += 0.5 * dt * (phi_now + phi_next)
             phi_now = phi_next
-        u = solve_banded((1, 1), ab, rhs, check_finite=False)
+        if banded:
+            ab = np.zeros((3, n_int))
+            ab[0, 1:] = -0.5 * dt * off
+            ab[1, :] = 1.0 - 0.5 * dt * diag
+            ab[2, :-1] = -0.5 * dt * off
+            u = solve_banded((1, 1), ab, rhs, check_finite=False)
+        else:
+            u = dpttrs(d, e, rhs)[0]
         values[n + 1, 1:-1] = u
-    return times, values
+    return times, values, None
 
 
 @pytest.mark.parametrize("n_nodes", [3, 4, 5, 65, 1025])
@@ -277,11 +286,16 @@ def test_factored_stepper_matches_per_step_solve_bit_for_bit(n_nodes):
     assert np.unique(np.diff(cfg.time_grid(horizon))).size > 3
     for source in (None, src):
         field = ha.step_evolution(op, ha.GridFunction(grid, xi), source, horizon, cfg)
-        times, values = _reference_step_evolution(op, ha.GridFunction(grid, xi), source,
-                                                  horizon, cfg)
+        times, values, refused = _reference_step_evolution(op, ha.GridFunction(grid, xi),
+                                                           source, horizon, cfg)
+        assert refused is None
         assert np.array_equal(field.times, times)
         assert np.array_equal(field.values, values)
         assert np.array_equal(np.signbit(field.values), np.signbit(values))
+        # an independent solver, pivoted LU on the band, agrees to rounding
+        _, banded, _ = _reference_step_evolution(op, ha.GridFunction(grid, xi), source,
+                                                 horizon, cfg, banded=True)
+        assert np.max(np.abs(banded - field.values)) <= 1e-12 * np.max(np.abs(field.values))
 
 
 def test_non_finite_state_raises_naming_the_step():
@@ -312,9 +326,11 @@ def test_non_finite_state_mid_run_names_its_step_without_a_warning():
        with_source=st.booleans(), tabulated=st.booleans())
 def test_overflowing_run_names_the_first_non_finite_state(q, amplitude, n_nodes, n_steps,
                                                           with_source, tabulated):
-    # a run may overflow at any step; the one check of the last state must
-    # still name the reference's first non-finite state (step n writes state
-    # n + 1), and a run that stays finite must give the reference's bits
+    # a run may overflow at any step, or meet a step matrix that is not
+    # positive definite (|q| dt / 2 >= 1 refuses step 0); the one check of the
+    # last state must still name the reference's first non-finite state (step
+    # n writes state n + 1) ahead of that step, and a run that stays finite
+    # and is never refused must give the reference's bits
     length, horizon = 1.3, 0.1
     grid = ha.Grid.uniform(length, n_nodes)
     if tabulated:
@@ -331,19 +347,25 @@ def test_overflowing_run_names_the_first_non_finite_state(q, amplitude, n_nodes,
         src = ha.SourceTerm.from_grid_history(grid, knots, history)
     cfg = ha.StepperConfig(n_nodes=n_nodes, n_steps=n_steps)
     with np.errstate(all="ignore"):
-        _, ref = _reference_step_evolution(op, xi, src, horizon, cfg)
-    finite = np.isfinite(ref).all(axis=1)
-    if finite.all():
+        times, ref, refused = _reference_step_evolution(op, xi, src, horizon, cfg)
+    finite = np.isfinite(ref[:len(ref) if refused is None else refused + 1]).all(axis=1)
+    if not finite.all():
+        message = f"non-finite state at step {int(finite.argmin()) - 1}"
+    elif refused is not None:
+        dt = times[refused + 1] - times[refused]
+        message = (f"step matrix not positive definite at step {refused}: "
+                   f"dt = {dt:g} is too large for a negative eigenvalue")
+    else:
         field = ha.step_evolution(op, xi, src, horizon, cfg)
         assert np.array_equal(field.values, ref)
-    else:
-        first = int(finite.argmin())
-        with pytest.raises(ha.SingularStep, match=f"^non-finite state at step {first - 1}$"):
-            ha.step_evolution(op, xi, src, horizon, cfg)
+        return
+    with pytest.raises(ha.SingularStep, match=f"^{message}$"):
+        ha.step_evolution(op, xi, src, horizon, cfg)
 
 
 @pytest.mark.parametrize("scale, message", [
-    (1.0, "implicit matrix singular at step 2"),
+    (1.0, "step matrix not positive definite at step 2: "
+          "dt = 0.125 is too large for a negative eigenvalue"),
     (1e308, "non-finite state at step 0"),
 ], ids=["singular", "non_finite_first"])
 def test_singular_step_matrix_is_named_after_the_states_before_it(scale, message):
@@ -355,6 +377,18 @@ def test_singular_step_matrix_is_named_after_the_states_before_it(scale, message
     cfg = ha.StepperConfig(n_nodes=3, n_steps=4, breakpoints=(0.0625,))
     with pytest.raises(ha.SingularStep, match=f"^{message}$"):
         ha.step_evolution(op, xi, None, 0.5, cfg)
+
+
+def test_step_too_large_for_a_growing_solution_is_refused():
+    # q = -400 on (0, pi): the first mode grows at rate 399, and dt = 0.1 / 16
+    # gives 1 - 399 dt / 2 < 0, a step matrix that is not positive definite
+    grid = ha.Grid.uniform(np.pi, 65)
+    op = ha.OperatorSpec.constant(np.pi, q=-400.0)
+    cfg = ha.StepperConfig(n_nodes=65, n_steps=16)
+    with pytest.raises(ha.SingularStep, match="^step matrix not positive definite at step 0: "
+                                              "dt = 0.00625 is too large for a negative "
+                                              "eigenvalue$"):
+        ha.step_evolution(op, _first_mode(grid), None, 0.1, cfg)
 
 
 def test_oracle_module_never_touches_eigen_data():

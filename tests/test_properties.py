@@ -1,7 +1,8 @@
 """Generated-input properties of the operator, the weight contract, the
 multiplier band, the inversion (round trip and linearity), the CSV files
-(bit-exact round trip), the CLI's exit codes on malformed input and the
-refusal of bad arguments to the public calls.
+(bit-exact round trip), the CLI's exit codes on malformed input, the
+second-order time accuracy of the oracle and the refusal of bad arguments
+to the public calls.
 Deterministic: derandomized, with no example database."""
 
 import contextlib
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -279,6 +280,65 @@ def test_malformed_input_exits_with_a_documented_code(tmp_path_factory, command,
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 2, 3, 4)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A 3-row coefficient table (a in [0.5, 2], a0 = -d with d in [0, 10]) on
+    17, 33 or 65 nodes; an average, quasi-boundary or two-piece weight on a
+    horizon in [0.05, 1], kappa up to 2; a 3-knot source in half the cases;
+    and initial coefficients of size about 1 / k^2 in the full basis."""
+    length = draw(st.floats(1.0, np.pi))
+    a = draw(arrays(float, 3, elements=st.floats(0.5, 2.0)))
+    d = draw(arrays(float, 3, elements=st.floats(0.0, 10.0)))
+    op = ha.OperatorSpec.from_table(length, np.linspace(0.0, length, 3), a, -d)
+    grid = ha.Grid.uniform(length, draw(st.sampled_from([17, 33, 65])))
+    es = ha.build_eigensystem(op, grid, grid.n_nodes - 2)
+    horizon, kappa = draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 2.0))
+    cut = draw(st.floats(0.1, 0.9)) * horizon
+    pieces = ((0.0, cut, draw(st.floats(0.1, 3.0))), (cut, horizon, draw(st.floats(0.0, 3.0))))
+    ws = draw(st.sampled_from([ha.WeightSpec.average(horizon, kappa),
+                               ha.WeightSpec.quasi_boundary(horizon, cut, kappa),
+                               ha.WeightSpec.from_pieces(kappa, pieces, horizon)]))
+    src = None
+    if draw(st.booleans()):
+        knots = np.array([0.0, draw(st.floats(0.1, 0.9)) * horizon, horizon])
+        shapes = np.sin(np.pi * np.outer([1, 2, 3], grid.nodes) / length)
+        rows = draw(arrays(float, (3, 3), elements=st.floats(-1.0, 1.0)))
+        src = ha.SourceTerm.from_grid_history(grid, knots, rows @ shapes)
+    k = np.arange(1, es.n_modes + 1)
+    xi = ha.SpectralVector(es, draw(RNGS).standard_normal(es.n_modes) / k**2)
+    return op, xi, ws, src
+
+
+@SMALL
+@given(case=oracle_cases())
+def test_oracle_average_converges_at_second_order_in_time(case):
+    # On the full basis both paths share one difference operator, so the gap
+    # between the oracle's average and the spectral one is the oracle's time
+    # error: halving dt divides it by about 4 (criterion 3's window), once
+    # the steps have damped the stiff modes Crank-Nicolson barely damps.
+    # Their damping is D = prod |(1 - x/2) / (1 + x/2)| over the steps with
+    # x = lam_bar dt > 2, lam_bar the Gershgorin bound of the operator's
+    # largest eigenvalue; a run with no such step has no stiff mode to damp.
+    # The source's knots join the time grid: one inside a step is integrated
+    # to second order, but not with the same constant at both resolutions.
+    op, xi, ws, src = case
+    es = xi.es
+    exact = ha.synthesize(ha.weighted_average(xi, ws, src), es).values
+    a_mid, a0_nodes = op.sample(es.grid)
+    lam_bar = np.max(2.0 * (a_mid[:-1] + a_mid[1:]) / es.grid.h**2 - a0_nodes[1:-1])
+    breakpoints = tuple(ws.breakpoints()) + (() if src is None else tuple(src.times))
+    coarse, fine = (ha.StepperConfig(n_nodes=es.grid.n_nodes, n_steps=n, breakpoints=breakpoints)
+                    for n in (128, 256))
+    x = lam_bar * np.diff(coarse.time_grid(ws.horizon))
+    x = x[x > 2.0]
+    assume(x.size == 0 or np.prod(np.abs((1.0 - x / 2.0) / (1.0 + x / 2.0))) <= 1e-6)
+    errors = []
+    for cfg in (coarse, fine):
+        field = ha.step_evolution(op, ha.synthesize(xi, es), src, ws.horizon, cfg)
+        errors.append(np.linalg.norm(ha.time_average(field, ws).values - exact))
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
 
 
 # One argument of a public call replaced by a bad value: a scalar by NaN or

@@ -8,16 +8,23 @@ every case then runs ``python -m heatavg`` from each tree with
 ``OPENBLAS_NUM_THREADS=1`` and ``PYTHONDONTWRITEBYTECODE=1``.  A case is
 identical when the exit code, stdout, stderr (with the case's out-dir path
 replaced by ``<out>``) and the SHA-256 of every file in its ``--out-dir``
-agree.  The matrix is 4 operators x 5 weights x 13 commands, plus ``figure1``
-on each of the 20 configs, on 129 nodes with N = 40 and 128 oracle steps:
-280 cases.  One oracle case starts from a profile near 1e306, whose first
+agree.  The matrix is 5 operators x 5 weights x 13 commands, plus ``figure1``
+on each of the 25 configs, on 129 nodes with N = 40 and 128 oracle steps:
+350 cases.  One oracle case starts from a profile near 1e306, whose first
 step overflows, so the matrix also compares the non-finite-state error.
+The operator q = -3000 grows its first mode so fast that at 128 steps
+1 + lambda_1 dt / 2 is about -0.17: the oracle's step matrix is not positive
+definite.
 Besides the smooth average, ``invert`` and ``invert --allow-ill-posed`` each
 read a hat profile, whose curvature tail passes the 1% warning threshold,
 and a ramp that is nonzero at ``x = L``, which both refuse as an input error.
 Only files are hashed, so an empty out-dir and a missing one compare equal.
 Prints the identical and different counts and each different case; exits 1
-if any case differs.  Needs only the standard library and numpy.
+if any case differs.  Where a different case's exit code, stdout and stderr
+agree, each CSV that differs is read from both sides and its largest
+relative difference, ``max|a - b| / max|a|`` over each column with ``a`` the
+parent's, is printed under the case, so a change that moves bits can be
+judged by size.  Needs only the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ OPERATORS = {
     "q0.5_d1.3": "q = 0.5\ndiffusion = 1.3\n",
     "table": "coeff_table = coeffs.txt\n",
     "q-5": "q = -5\n",
+    "q-3000": "q = -3000\n",
 }
 COEFF_TABLE = ("# x a a0\n"
                "0.0 1.0 0.0\n"
@@ -125,6 +133,33 @@ def run_case(src_dir: Path, root: Path, argv: list[str], out: Path):
     return proc.returncode, strip(proc.stdout), strip(proc.stderr), files
 
 
+def file_differences(parent_out: Path, change_out: Path, parent_files: dict,
+                     change_files: dict) -> list[str]:
+    """One line per file whose hash differs between the two out-dirs: for a
+    CSV on both sides, the largest relative difference of its numbers,
+    column by column, so a coordinate column sets no column's scale."""
+    lines = []
+    for name in sorted(parent_files.keys() | change_files.keys()):
+        if parent_files.get(name) == change_files.get(name):
+            continue
+        if name not in parent_files or name not in change_files:
+            side = "change" if name in change_files else "parent"
+            lines.append(f"{name}: only in {side}")
+            continue
+        if not name.endswith(".csv"):
+            lines.append(f"{name}: contents differ")
+            continue
+        a, b = (np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+                for out in (parent_out, change_out))
+        if a.shape != b.shape:
+            lines.append(f"{name}: shape {a.shape} -> {b.shape}")
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 in a column of zeros
+            rel = np.max(np.abs(a - b), axis=0) / np.max(np.abs(a), axis=0)
+        lines.append(f"{name}: max relative difference {np.where(np.isnan(rel), 0, rel).max():.3g}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="source tree to compare against")
@@ -136,17 +171,24 @@ def main(argv=None) -> int:
         configs = write_inputs(root)
         same, different, exits = 0, [], collections.Counter()
         for case, cli_args in cases(configs):
-            results = {side: run_case(src, root, cli_args, root / side / case)
+            outs = {side: root / side / case for side in trees}
+            results = {side: run_case(src, root, cli_args, outs[side])
                        for side, src in trees.items()}
             exits[results["change"][0]] += 1
-            if results["parent"] == results["change"]:
+            parent, change = results["parent"], results["change"]
+            if parent == change:
                 same += 1
+            elif parent[:3] == change[:3]:
+                different.append((case, file_differences(outs["parent"], outs["change"],
+                                                         parent[3], change[3])))
             else:
-                different.append(case)
+                different.append((case, []))
     print(f"{same} identical, {len(different)} different, of {same + len(different)} cases")
     print("exit codes (change): " + ", ".join(f"{code}: {n}" for code, n in sorted(exits.items())))
-    for case in different:
+    for case, notes in different:
         print(f"different: {case}")
+        for note in notes:
+            print(f"  {note}")
     return 1 if different else 0
 
 
