@@ -12,7 +12,7 @@ inadmissible weight, such as the pure-terminal one, is refused.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,12 +109,15 @@ def fit_data(mu: GridFunction, es: EigenSystem) -> DataFit:
 
 
 def _invert(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec,
-            es: EigenSystem) -> InverseReport:
+            es: EigenSystem) -> tuple[InverseReport, SourceTerm | None]:
     """The one inversion step: subtract the source's averaged contribution
     (if any) from the data's eigencoefficients and divide by the multipliers.
+    The source comes back bound to ``es``, projected once, for the field.
     The smoothness warning names the line that called the public function."""
     fit = fit_data(mu, es)
     stability = stability_constants(ws, es)
+    if src is not None and src.es is not es:
+        src = replace(src, es=es)
     source_avg = 0.0 if src is None else average_from_source(src, ws, es).coeffs
     reduced = fit.gamma - source_avg
     mult = np.asarray(ws.multiplier(es.lambdas))
@@ -131,13 +134,13 @@ def _invert(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec,
         stability=stability,
         truncation_residual=fit.truncation_residual,
         h2_tail_fraction=fit.h2_tail_fraction,
-    )
+    ), src
 
 
 def recover_initial(mu: GridFunction, ws: WeightSpec, es: EigenSystem) -> InverseReport:
     """Divide the data's eigencoefficients by the multipliers; raises
     `IllPosedWeight` when the weight fails admissibility."""
-    return _invert(mu, None, ws, es)
+    return _invert(mu, None, ws, es)[0]
 
 
 def solve_inverse(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec,
@@ -153,7 +156,7 @@ def solve_inverse(mu: GridFunction, src: SourceTerm | None, ws: WeightSpec,
     verification of it is the oracle's job.  The field holds ``times``,
     129 uniform times on [0, horizon] by default.
     """
-    rep = _invert(mu, src, ws, es)
+    rep, src = _invert(mu, src, ws, es)
     if times is None:
         times = np.linspace(0.0, ws.horizon, 129)
     return solve_forward(rep.xi, src, times), rep

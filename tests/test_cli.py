@@ -246,6 +246,27 @@ def test_invert_with_source_round_trip(small_setup, tmp_path):
     assert np.max(np.abs(recovered.values - expected.values)) < 1e-9
 
 
+def test_invert_with_source_projects_it_once(small_setup, tmp_path, monkeypatch):
+    cfg, grid, op, es = small_setup
+    src = ha.SourceTerm.from_callable(grid, lambda x, t: (1 + t / T) * np.sin(x / 2.0),
+                                      np.linspace(0.0, T, 4))
+    write_field_csv(tmp_path / "phi.csv", src, column="phi")
+    write_grid_csv(tmp_path / "mu.csv", ha.GridFunction(grid, 0.2 * np.sin(grid.nodes / 2.0)))
+    coefficients, projections = ha.SourceTerm.coefficients, []
+
+    def counted(self, basis):
+        out = coefficients(self, basis)
+        if out is not self.coeffs:
+            projections.append(basis)
+        return out
+
+    monkeypatch.setattr(ha.SourceTerm, "coefficients", counted)
+    argv = ["invert", str(cfg), str(tmp_path / "mu.csv"), "--phi", str(tmp_path / "phi.csv"),
+            "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert len(projections) == 1
+
+
 def test_forward_agrees_with_oracle_command(small_setup, tmp_path):
     cfg, grid, op, es = small_setup
     xi = ha.GridFunction(grid, np.sin(grid.nodes / 2.0))

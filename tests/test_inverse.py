@@ -49,6 +49,23 @@ def test_inadmissible_weight_refused(pi_es):
         ha.solve_inverse(mu, None, ws, pi_es)
 
 
+def test_source_on_another_grid_is_refused_after_the_data_and_the_weight(pi_es, avg_ws):
+    # the source is bound to the basis, and so projected, only once the data
+    # and the weight have passed; its grid is checked before its horizon
+    other = ha.Grid.uniform(np.pi, 129)
+    src = ha.SourceTerm.from_grid_history(other, [0.0, T], np.ones((2, 129)))
+    mu = ha.GridFunction(pi_es.grid, pi_es.modes[0])
+    with pytest.raises(ha.BoundaryViolation):
+        ha.solve_inverse(ha.GridFunction(pi_es.grid, np.ones(257)), src, avg_ws, pi_es)
+    with pytest.raises(ha.IllPosedWeight):
+        ha.solve_inverse(mu, src, ha.WeightSpec.terminal(T, kappa=1.0), pi_es)
+    with pytest.raises(ha.GridMismatch):
+        ha.solve_inverse(mu, src, avg_ws, pi_es)
+    longer = ha.SourceTerm.from_grid_history(other, [0.0, 2 * T], np.ones((2, 129)))
+    with pytest.raises(ha.GridMismatch):
+        ha.solve_inverse(mu, longer, avg_ws, pi_es)
+
+
 def test_amplification_is_the_largest_reciprocal_multiplier(default_es, avg_ws):
     # a correctly rounded reciprocal is monotone, so 1/min|m| has the bits of max 1/|m|
     rep = ha.recover_initial(ha.GridFunction(default_es.grid, default_es.modes[0]),

@@ -1,6 +1,7 @@
 import inspect
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,10 +229,11 @@ def _reference_step_evolution(op, xi, src, horizon, cfg, banded=False):
     """Reference: `step_evolution`'s arithmetic with a fresh L D L^T
     factorization and solve at every step (``dpttrf``, ``dpttrs``; or
     `solve_banded` when ``banded``), on fresh arrays, with no cache and no
-    in-place writes, and with its input and finiteness checks left out: it
-    marches on through non-finite states and stops before the first step
-    whose matrix ``dpttrf`` refuses.  Returns the times, the states and that
-    step, or None."""
+    in-place writes, and with its input and finiteness checks left out: on
+    the time grid with the source's knots merged into the breakpoints, each
+    step is driven by ``dt * phi(t_mid)``; it marches on through non-finite
+    states and stops before the first step whose matrix ``dpttrf`` refuses.
+    Returns the times, the states and that step, or None."""
     grid = xi.grid
     a_mid, a0_nodes = op.sample(grid)
     h = grid.h
@@ -239,13 +241,14 @@ def _reference_step_evolution(op, xi, src, horizon, cfg, banded=False):
     off = a_mid[1:-1] / h**2
     diag = -(a_mid[:-1] + a_mid[1:]) / h**2 + a0_nodes[1:-1]
 
+    if src is not None:
+        cfg = replace(cfg, breakpoints=cfg.breakpoints + tuple(src.times))
     times = cfg.time_grid(horizon)
     n_int = grid.n_nodes - 2
     values = np.zeros((times.size, grid.n_nodes))
     values[0, 1:-1] = xi.values[1:-1]
 
     u = values[0, 1:-1].copy()
-    phi_now = _reference_source_row(src, 0.0)[1:-1] if src is not None else None
     for n in range(times.size - 1):
         dt = times[n + 1] - times[n]
         # a 3-node grid's 1 x 1 matrix still needs one (unread) off-diagonal entry
@@ -256,9 +259,7 @@ def _reference_step_evolution(op, xi, src, horizon, cfg, banded=False):
         rhs[:-1] += 0.5 * dt * off * u[1:]
         rhs[1:] += 0.5 * dt * off * u[:-1]
         if src is not None:
-            phi_next = _reference_source_row(src, times[n + 1])[1:-1]
-            rhs += 0.5 * dt * (phi_now + phi_next)
-            phi_now = phi_next
+            rhs += dt * _reference_source_row(src, 0.5 * (times[n] + times[n + 1]))[1:-1]
         if banded:
             ab = np.zeros((3, n_int))
             ab[0, 1:] = -0.5 * dt * off
@@ -298,6 +299,22 @@ def test_factored_stepper_matches_per_step_solve_bit_for_bit(n_nodes):
         assert np.max(np.abs(banded - field.values)) <= 1e-12 * np.max(np.abs(field.values))
 
 
+def test_source_knots_join_the_time_grid():
+    # knots off the 64-step grid: the oracle merges them itself, so passing
+    # them as breakpoints too changes no bit
+    grid = ha.Grid.uniform(1.0, 33)
+    op = ha.OperatorSpec.constant(1.0, q=1.5)
+    knots = (0.0, 0.013, 0.061, 0.1)
+    src = ha.SourceTerm.from_callable(grid, lambda x, t: (1.0 + 10.0 * t) * np.sin(np.pi * x),
+                                      np.array(knots))
+    fields = [ha.step_evolution(op, _first_mode(grid), src, 0.1,
+                                ha.StepperConfig(n_nodes=33, n_steps=64, breakpoints=bps))
+              for bps in ((), knots)]
+    assert 0.013 in fields[0].times and 0.061 in fields[0].times
+    assert np.array_equal(fields[0].times, fields[1].times)
+    assert np.array_equal(fields[0].values, fields[1].values)
+
+
 def test_non_finite_state_raises_naming_the_step():
     grid = ha.Grid.uniform(1.0, 65)
     op = ha.OperatorSpec.constant(1.0)
@@ -327,10 +344,11 @@ def test_non_finite_state_mid_run_names_its_step_without_a_warning():
 def test_overflowing_run_names_the_first_non_finite_state(q, amplitude, n_nodes, n_steps,
                                                           with_source, tabulated):
     # a run may overflow at any step, or meet a step matrix that is not
-    # positive definite (|q| dt / 2 >= 1 refuses step 0); the one check of the
-    # last state must still name the reference's first non-finite state (step
-    # n writes state n + 1) ahead of that step, and a run that stays finite
-    # and is never refused must give the reference's bits
+    # positive definite (|q| dt / 2 >= 1 refuses step 0); a refused step size
+    # is named whatever the states, the one check of the last state of any
+    # other run must name the reference's first non-finite state (step n
+    # writes state n + 1), and a run that stays finite must give the
+    # reference's bits
     length, horizon = 1.3, 0.1
     grid = ha.Grid.uniform(length, n_nodes)
     if tabulated:
@@ -348,13 +366,13 @@ def test_overflowing_run_names_the_first_non_finite_state(q, amplitude, n_nodes,
     cfg = ha.StepperConfig(n_nodes=n_nodes, n_steps=n_steps)
     with np.errstate(all="ignore"):
         times, ref, refused = _reference_step_evolution(op, xi, src, horizon, cfg)
-    finite = np.isfinite(ref[:len(ref) if refused is None else refused + 1]).all(axis=1)
-    if not finite.all():
-        message = f"non-finite state at step {int(finite.argmin()) - 1}"
-    elif refused is not None:
+    finite = np.isfinite(ref).all(axis=1)
+    if refused is not None:
         dt = times[refused + 1] - times[refused]
         message = (f"step matrix not positive definite at step {refused}: "
                    f"dt = {dt:g} is too large for a negative eigenvalue")
+    elif not finite.all():
+        message = f"non-finite state at step {int(finite.argmin()) - 1}"
     else:
         field = ha.step_evolution(op, xi, src, horizon, cfg)
         assert np.array_equal(field.values, ref)
@@ -363,19 +381,18 @@ def test_overflowing_run_names_the_first_non_finite_state(q, amplitude, n_nodes,
         ha.step_evolution(op, xi, src, horizon, cfg)
 
 
-@pytest.mark.parametrize("scale, message", [
-    (1.0, "step matrix not positive definite at step 2: "
-          "dt = 0.125 is too large for a negative eigenvalue"),
-    (1e308, "non-finite state at step 0"),
-], ids=["singular", "non_finite_first"])
-def test_singular_step_matrix_is_named_after_the_states_before_it(scale, message):
+@pytest.mark.parametrize("scale", [1.0, 1e308], ids=["singular", "non_finite_first"])
+def test_refused_step_size_is_named_before_any_state(scale):
     # h = 0.5 and q = -24 give diag = 16, so I - (dt/2) A is exactly 0 for
-    # dt = 0.125 (steps 2 to 4) and amplifies by 3 for dt = 0.0625 (steps 0, 1)
+    # dt = 0.125 (steps 2 to 4) and amplifies by 3 for dt = 0.0625 (steps 0,
+    # 1): the state 1e308 would overflow at step 0, but no step is marched
     grid = ha.Grid.uniform(1.0, 3)
     op = ha.OperatorSpec.constant(1.0, q=-24.0)
     xi = ha.GridFunction(grid, np.array([0.0, scale, 0.0]))
     cfg = ha.StepperConfig(n_nodes=3, n_steps=4, breakpoints=(0.0625,))
-    with pytest.raises(ha.SingularStep, match=f"^{message}$"):
+    with pytest.raises(ha.SingularStep, match="^step matrix not positive definite at step 2: "
+                                              "dt = 0.125 is too large for a negative "
+                                              "eigenvalue$"):
         ha.step_evolution(op, xi, None, 0.5, cfg)
 
 

@@ -7,6 +7,7 @@ Deterministic: derandomized, with no example database."""
 
 import contextlib
 import io
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -321,23 +322,35 @@ def test_oracle_average_converges_at_second_order_in_time(case):
     # Their damping is D = prod |(1 - x/2) / (1 + x/2)| over the steps with
     # x = lam_bar dt > 2, lam_bar the Gershgorin bound of the operator's
     # largest eigenvalue; a run with no such step has no stiff mode to damp.
-    # The source's knots join the time grid: one inside a step is integrated
-    # to second order, but not with the same constant at both resolutions.
+    # The oracle puts the source's knots in its own time grid (a knot inside
+    # a step is integrated to second order, but not with the same constant at
+    # both resolutions), so D is taken over that grid.
     op, xi, ws, src = case
     es = xi.es
     exact = ha.synthesize(ha.weighted_average(xi, ws, src), es).values
     a_mid, a0_nodes = op.sample(es.grid)
     lam_bar = np.max(2.0 * (a_mid[:-1] + a_mid[1:]) / es.grid.h**2 - a0_nodes[1:-1])
-    breakpoints = tuple(ws.breakpoints()) + (() if src is None else tuple(src.times))
-    coarse, fine = (ha.StepperConfig(n_nodes=es.grid.n_nodes, n_steps=n, breakpoints=breakpoints)
-                    for n in (128, 256))
-    x = lam_bar * np.diff(coarse.time_grid(ws.horizon))
+    coarse, fine = (ha.StepperConfig(n_nodes=es.grid.n_nodes, n_steps=n,
+                                     breakpoints=tuple(ws.breakpoints())) for n in (128, 256))
+    knots = () if src is None else tuple(src.times)
+    times = replace(coarse, breakpoints=coarse.breakpoints + knots).time_grid(ws.horizon)
+    x = lam_bar * np.diff(times)
     x = x[x > 2.0]
-    assume(x.size == 0 or np.prod(np.abs((1.0 - x / 2.0) / (1.0 + x / 2.0))) <= 1e-6)
+    damping = np.prod(np.abs((1.0 - x / 2.0) / (1.0 + x / 2.0)))
+    assume(x.size == 0 or damping <= 1e-6)
     errors = []
     for cfg in (coarse, fine):
         field = ha.step_evolution(op, ha.synthesize(xi, es), src, ws.horizon, cfg)
         errors.append(np.linalg.norm(ha.time_average(field, ws).values - exact))
+    # What is left of the stiff modes, about D times their part of xi,
+    # reaches kappa u(T) with no average to shrink it: at D = 6.2e-7 a
+    # source-free draw with kappa = 1 (L = 1.25, 33 nodes, a = 1.75, a0 = -3,
+    # T = 1) has a coarse error of 7.9e-9 and reads 4.77.  Skip the draws
+    # where that estimate is not far below the coarse error; with kappa = 0
+    # none is skipped.
+    stiff = np.where(es.lambdas * np.max(np.diff(times)) > 2.0, xi.coeffs, 0.0)
+    left = damping * np.linalg.norm(ha.synthesize(ha.SpectralVector(es, stiff), es).values)
+    assume(ws.kappa * left <= 0.01 * errors[0])
     assert 3.5 <= errors[0] / errors[1] <= 4.5
 
 

@@ -8,10 +8,13 @@ every case then runs ``python -m heatavg`` from each tree with
 ``OPENBLAS_NUM_THREADS=1`` and ``PYTHONDONTWRITEBYTECODE=1``.  A case is
 identical when the exit code, stdout, stderr (with the case's out-dir path
 replaced by ``<out>``) and the SHA-256 of every file in its ``--out-dir``
-agree.  The matrix is 5 operators x 5 weights x 13 commands, plus ``figure1``
+agree.  The matrix is 5 operators x 5 weights x 15 commands, plus ``figure1``
 on each of the 25 configs, on 129 nodes with N = 40 and 128 oracle steps:
-350 cases.  One oracle case starts from a profile near 1e306, whose first
-step overflows, so the matrix also compares the non-finite-state error.
+400 cases.  ``phi.csv`` is ``(1 + t/T) sin(pi x/L)``, with its knots on the
+128-step grid; ``phi_off.csv`` is ``sin(pi x/L)`` times 1, 3, -1 and 2 at
+0, 0.013, 0.061 and 0.1, kinks off that grid.  One oracle case starts from
+a profile near 1e306, whose first step overflows, so the matrix also
+compares the non-finite-state error.
 The operator q = -3000 grows its first mode so fast that at 128 steps
 1 + lambda_1 dt / 2 is about -0.17: the oracle's step matrix is not positive
 definite.
@@ -79,6 +82,8 @@ COMMANDS = {
     "invert_ramp_ill_posed": ["invert", "{cfg}", "ramp.csv", "--allow-ill-posed"],
     "oracle": ["oracle", "{cfg}", "xi.csv"],
     "oracle_phi": ["oracle", "{cfg}", "xi.csv", "--phi", "phi.csv"],
+    "oracle_phi_off": ["oracle", "{cfg}", "xi.csv", "--phi", "phi_off.csv"],
+    "invert_phi_off": ["invert", "{cfg}", "mu.csv", "--phi", "phi_off.csv"],
     "oracle_overflow": ["oracle", "{cfg}", "huge.csv"],
 }
 
@@ -99,6 +104,9 @@ def write_inputs(root: Path) -> list[str]:
     times = np.linspace(0.0, HORIZON, 5)
     _csv(root / "phi.csv", "x,t,phi",
          ((xj, t, (1.0 + t / HORIZON) * np.sin(np.pi * xj / LENGTH)) for t in times for xj in x))
+    knots = zip((0.0, 0.013, 0.061, HORIZON), (1.0, 3.0, -1.0, 2.0))
+    _csv(root / "phi_off.csv", "x,t,phi", ((xj, t, c * np.sin(np.pi * xj / LENGTH))
+                                           for t, c in knots for xj in x))
     (root / "coeffs.txt").write_text(COEFF_TABLE)
     (root / "w.txt").write_text(WEIGHT_TABLE)
     (root / "tiny.txt").write_text(TINY_TABLE)
