@@ -186,7 +186,7 @@ class OperatorSpec:
 class EigenSystem:
     """Truncated Dirichlet eigenpairs of an OperatorSpec on a grid.
 
-    ``lambdas`` are strictly increasing; ``modes[k]`` is the k-th
+    ``lambdas`` are non-decreasing; ``modes[k]`` is the k-th
     eigenfunction sampled on the grid, orthonormal in the trapezoid inner
     product and sign-fixed so its first interior value is positive.
     ``n_modes`` and ``first_positive`` derive from ``lambdas``.
@@ -247,6 +247,8 @@ def build_eigensystem(op: OperatorSpec, grid: Grid, n_modes: int) -> EigenSystem
             lambdas = op.diffusion * freq**2 + op.q
         if not math.isfinite(lambdas[-1]):
             raise ValueError(f"diffusion = {op.diffusion:g} is too large for double precision")
+        if not np.all(np.diff(lambdas) > 0.0):  # distinct unless q swamps the spectrum
+            raise ValueError("eigenvalues are not distinct in double precision")
         modes = np.sqrt(2.0 / op.length) * np.sin(np.outer(freq, grid.nodes))
         modes[:, 0] = 0.0
         modes[:, -1] = 0.0
@@ -277,8 +279,6 @@ def build_eigensystem(op: OperatorSpec, grid: Grid, n_modes: int) -> EigenSystem
         flip = modes[:, 1] < 0.0
         modes[flip] *= -1.0
 
-    if not np.all(np.diff(lambdas) > 0.0):
-        raise ValueError("eigenvalues are not distinct in double precision")
     return EigenSystem(grid, _frozen(lambdas), _frozen(modes))
 
 

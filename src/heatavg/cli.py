@@ -193,7 +193,6 @@ def _cmd_oracle(cfg: RunConfig, args) -> int:
 
     # thin the stored evolution to roughly n_times rows to keep files sane
     idx = np.unique(np.searchsorted(field.times, np.linspace(0.0, cfg.weight.horizon, cfg.n_times)))
-    idx = np.clip(idx, 0, field.times.size - 1)
     thinned = type(field)(grid=field.grid, times=field.times[idx], values=field.values[idx])
     write_field_csv(out / "oracle_field.csv", thinned)
     write_grid_csv(out / "oracle_average.csv", averaged)

@@ -79,20 +79,12 @@ def _phis(z: np.ndarray, order: int) -> list[np.ndarray]:
 
 
 def _rows_at(knots: np.ndarray, rows: np.ndarray, times: np.ndarray):
-    """Yield ``rows`` (one per knot) linearly interpolated at each of ``times``,
-    held at the end rows outside the knots; one search finds every piece."""
-    if knots.size == 1:  # every time is at or beyond the only knot
-        yield from (rows[0] for _ in times.tolist())
-        return
-    piece = np.clip(np.searchsorted(knots, times, side="right") - 1, 0, knots.size - 2)
+    """Yield ``rows`` (one per knot, two or more) linearly interpolated at each
+    of ``times``, none before the first knot; one search finds every piece."""
+    piece = np.minimum(np.searchsorted(knots, times, side="right") - 1, knots.size - 2)
     frac = (times - knots[piece]) / np.diff(knots)[piece]
-    for t, i, s in zip(times.tolist(), piece.tolist(), frac.tolist()):
-        if t <= knots[0]:
-            yield rows[0]
-        elif t >= knots[-1]:
-            yield rows[-1]
-        else:
-            yield (1.0 - s) * rows[i] + s * rows[i + 1]
+    for i, s in zip(piece.tolist(), frac.tolist()):
+        yield (1.0 - s) * rows[i] + s * rows[i + 1]
 
 
 def _trapezoid_in_time(times: np.ndarray, w_mid=1.0) -> np.ndarray:
@@ -127,12 +119,14 @@ class SolutionField:
             raise ValueError("time instants must be strictly increasing")
 
     def slice_at(self, t: float) -> GridFunction:
-        """Spatial slice at time t: the stored row at a stored time, linearly
-        interpolated between stored rows."""
+        """Spatial slice at a time t in the stored range (else `TimeOutOfRange`):
+        the stored row itself at a stored time, else linearly interpolated."""
         t = float(t)
         if not self.times[0] <= t <= self.times[-1]:
-            raise TimeOutOfRange(f"t = {t:g} outside [{self.times[0]:g}, {self.times[-1]:g}]")
-        return GridFunction(self.grid, next(_rows_at(self.times, self.values, np.array([t]))))
+            raise _time_error(t, self.times[0], self.times[-1])
+        i = int(np.searchsorted(self.times, t))
+        row = self.values[i] if self.times[i] == t else next(_rows_at(self.times, self.values, [t]))
+        return GridFunction(self.grid, row)
 
     def norm_l2(self) -> float:
         """Space-time L2 norm (trapezoid in both directions)."""
@@ -202,15 +196,18 @@ class SourceTerm(SolutionField):
         return (self.values * w) @ es.modes.T
 
 
+def _time_error(t: float, start: float, end: float) -> TimeOutOfRange:
+    where = f"outside [{start:g}, {end:g}]" if math.isfinite(t) else "is not finite"
+    return TimeOutOfRange(f"t = {t:g} {where}")
+
+
 def _checked_times(times, horizon: float) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1:
         raise ValueError("time instants must be one-dimensional")
     bad = ~((times >= 0.0) & (times <= horizon * (1.0 + 1e-12)) & np.isfinite(times))
     if np.any(bad):
-        t = times[bad][0]
-        where = f"outside [0, {horizon:g}]" if np.isfinite(t) else "is not finite"
-        raise TimeOutOfRange(f"t = {t:g} {where}")
+        raise _time_error(times[bad][0], 0.0, horizon)
     return times
 
 

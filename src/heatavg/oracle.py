@@ -1,14 +1,10 @@
 """Finite-difference verification path, kept independent of the eigenbasis.
 
-Crank-Nicolson time stepping of the diffusion problem on a time grid that
-holds the source's knots, one L D L^T solve on the interior nodes per step,
-plus weighted trapezoid averaging in time.  Every step size is factored, or
-refused, before the first step.  Neither path makes a temporary the size of
-the field: each step is formed and solved in its own row, with its products
-in reused scratch rows, and the average is one contraction of the field with
-per-time weights.  Finiteness is checked once, on the last state, and the
-first non-finite state names the step that wrote it.  This module assembles
-its own difference operator from the OperatorSpec samples and never touches
+Crank-Nicolson time stepping of the diffusion problem on a time grid from
+exactly 0 to the horizon that holds the source's knots, one L D L^T solve on
+the interior nodes per step, plus weighted trapezoid averaging in time;
+neither makes a temporary the size of the field.  This module assembles its
+own difference operator from the OperatorSpec samples and never touches
 eigen data, so agreement with the spectral modules is a genuine cross-check
 rather than a tautology.
 """
@@ -23,7 +19,7 @@ import numpy as np
 
 from ._lapack import routines
 from .basis import GridFunction, GridMismatch, OperatorSpec
-from .forward import SolutionField, SourceTerm, _rows_at, _trapezoid_in_time
+from .forward import SolutionField, SourceTerm, _checked_times, _rows_at, _trapezoid_in_time
 
 
 class SingularStep(RuntimeError):
@@ -59,11 +55,14 @@ class StepperConfig:
             raise ValueError("breakpoints must be finite")
 
     def time_grid(self, horizon: float) -> np.ndarray:
+        """Uniform grid on [0, horizon] with the breakpoints in.  Points within
+        ``1e-12 * horizon`` count as one: 0, ``horizon``, else the earlier."""
         if not 0.0 < horizon < math.inf:
             raise ValueError("horizon must be positive and finite")
+        slack = 1e-12 * horizon
         base = np.linspace(0.0, horizon, self.n_steps + 1)
-        merged = np.union1d(base, [b for b in self.breakpoints if 0.0 < b < horizon])
-        keep = np.concatenate([[True], np.diff(merged) > 1e-12 * horizon])
+        merged = np.union1d(base, [b for b in self.breakpoints if min(b, horizon - b) > slack])
+        keep = np.concatenate([[True], np.diff(merged) > slack])
         return merged[keep]
 
 
@@ -71,10 +70,11 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
                    horizon: float, cfg: StepperConfig) -> SolutionField:
     """March the diffusion forward from ``xi`` with Crank-Nicolson steps.
 
-    The source's knots join ``cfg.breakpoints`` in the time grid, so each
-    step lies in one linear piece of the source and is driven by its exact
-    integral ``dt * phi(t_mid)``, the midpoint row of `forward._rows_at`
-    (the rule of the source's `slice_at`).  Before the first step, each step
+    A source must reach ``horizon``, else `solve_forward`'s `TimeOutOfRange`.
+    Its knots join ``cfg.breakpoints`` in the time grid, so each step lies in
+    one linear piece of the source and is driven by its exact integral
+    ``dt * phi(t_mid)``, the midpoint row of `forward._rows_at` (the rule of
+    the source's `slice_at`).  Before the first step, each step
     size is factored, in step order, as L D L^T of the symmetric interior
     matrix I - (dt/2) A (LAPACK ``dpttrf``, no pivots), or refused with
     `SingularStep` naming its first step if it is not positive definite (dt
@@ -97,6 +97,7 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     if src is not None:
         if src.grid != grid:
             raise GridMismatch("source and initial state use different grids")
+        _checked_times(horizon, src.horizon)
         cfg = replace(cfg, breakpoints=cfg.breakpoints + tuple(src.times.tolist()))
     times = cfg.time_grid(horizon)
     dts = np.diff(times).tolist()
@@ -162,13 +163,15 @@ def time_average(field: SolutionField, ws) -> GridFunction:
     One ``np.einsum`` contraction of the field with per-time weights (each
     panel's ``0.5 w(t_mid) dt`` at both its ends, ``kappa`` at the last
     time): no field-sized temporary, and unlike a BLAS matrix-vector
-    product the same bits whatever the thread count."""
+    product the same bits whatever the thread count.  An end or breakpoint of
+    the weight off the grid by over ``1e-12 * horizon`` (`time_grid`'s slack)
+    raises `BreakpointUnresolved`."""
     times = field.times
     horizon = ws.horizon
-    if abs(times[-1] - horizon) > 1e-9 * horizon:
+    if abs(times[-1] - horizon) > 1e-12 * horizon:
         raise BreakpointUnresolved("field horizon differs from the weight horizon")
     for b in ws.breakpoints():
-        if np.min(np.abs(times - b)) > 1e-9 * horizon:
+        if np.min(np.abs(times - b)) > 1e-12 * horizon:
             raise BreakpointUnresolved(f"time grid misses weight breakpoint t = {b:g}")
 
     w_mid = ws.value_at(0.5 * (times[:-1] + times[1:]))

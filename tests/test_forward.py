@@ -223,12 +223,6 @@ def test_field_slices_match_stored_values(pi_es):
     assert field.values[:, 0].max() == 0.0 and field.values[:, -1].max() == 0.0
 
 
-def test_rows_at_a_single_knot_hold_its_row_at_every_time():
-    row = np.array([0.0, 1.0, -2.0])
-    rows = list(forward._rows_at(np.array([0.0]), row[None, :], np.array([0.0, 0.5, 2.0])))
-    assert len(rows) == 3 and all(np.array_equal(r, row) for r in rows)
-
-
 def test_single_time_field_slices_to_its_row():
     grid = ha.Grid.uniform(1.0, 5)
     row = np.array([0.0, 1.0, -2.0, 3.0, 0.0])
@@ -271,10 +265,27 @@ def test_row_interpolation_matches_reference_bit_for_bit():
         for got, want in ((src.slice_at(t).values, _reference_values_at(src, t)),
                           (field.slice_at(t).values, _reference_slice_at(field, t))):
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    for t in (-0.1, 0.2, 5.0):  # beyond the knots both refuse; the oracle test pins the hold
+    for t in (-0.1, 0.2, 5.0):  # beyond the knots both refuse
         for history in (src, field):
             with pytest.raises(ha.TimeOutOfRange):
                 history.slice_at(t)
+
+
+@pytest.mark.parametrize("record", ["field", "source"])
+@pytest.mark.parametrize("t, message", [
+    (-0.1, r"^t = -0\.1 outside \[0, 0\.1\]$"),
+    (0.2, r"^t = 0\.2 outside \[0, 0\.1\]$"),
+    (math.nan, r"^t = nan is not finite$"),
+    (math.inf, r"^t = inf is not finite$"),
+    (-math.inf, r"^t = -inf is not finite$"),
+], ids=["before", "after", "nan", "inf", "minus_inf"])
+def test_slice_at_names_a_time_it_refuses(record, t, message):
+    # the message rule of `solve_forward`: a time that is not finite is named so
+    grid = ha.Grid.uniform(1.0, 5)
+    kind = ha.SolutionField if record == "field" else ha.SourceTerm
+    history = kind(grid, [0.0, 0.05, 0.1], np.ones((3, 5)))
+    with pytest.raises(ha.TimeOutOfRange, match=message):
+        history.slice_at(t)
 
 
 def test_field_slice_at_a_stored_end_time_is_that_row():
@@ -285,6 +296,16 @@ def test_field_slice_at_a_stored_end_time_is_that_row():
         slc = field.slice_at(t).values
         assert np.array_equal(slc, values[j])
         assert np.array_equal(np.signbit(slc), np.signbit(values[j]))
+
+
+def test_field_slice_at_an_inner_stored_time_is_that_row():
+    # interpolating at the stored time 0.05 would add 0 * 3.0 to the -0.0
+    grid = ha.Grid.uniform(1.0, 5)
+    values = np.array([[0.0, 1.0, 2.0, 1.0, 0.0], [0.0, -0.0, -1.0, 0.0, 0.0],
+                       [0.0, 3.0, 0.0, 4.0, 0.0]])
+    field = ha.SolutionField(grid=grid, times=np.array([0.0, 0.05, 0.1]), values=values)
+    slc = field.slice_at(0.05).values
+    assert np.array_equal(slc, values[1]) and np.array_equal(np.signbit(slc), np.signbit(values[1]))
 
 
 def test_field_slice_at_arbitrary_time(pi_es):

@@ -212,14 +212,41 @@ def test_breakpoints_merged_into_time_grid():
             cfg.time_grid(bad)
 
 
+@pytest.mark.parametrize("n_steps", [8, 64, 2048])
+def test_time_grid_ends_exactly_at_zero_and_the_horizon(n_steps):
+    # breakpoints within 1e-12 T of an end count as that end: the grid neither
+    # gains a sliver step nor loses 0 or T to them
+    for horizon in (0.1, 1.0, 7.3):
+        near = (horizon * 5e-13, horizon * (1.0 - 5e-13))
+        cfg = ha.StepperConfig(n_nodes=5, n_steps=n_steps, breakpoints=near + (0.37 * horizon,))
+        times = cfg.time_grid(horizon)
+        assert times[0] == 0.0 and times[-1] == horizon
+        assert np.array_equal(times, np.union1d(np.linspace(0.0, horizon, n_steps + 1),
+                                                [0.37 * horizon]))
+
+
+@pytest.mark.parametrize("offset, refused", [(1e-10, True), (-1e-10, True), (5e-13, False)],
+                         ids=["1e-10_late", "1e-10_early", "5e-13_late"])
+def test_time_average_matches_breakpoints_within_1e_12_of_the_horizon(offset, refused):
+    # the slack of `time_grid`'s merge, so a breakpoint 1e-10 T off the grid is missed
+    grid = ha.Grid.uniform(1.0, 33)
+    ws = ha.WeightSpec.quasi_boundary(0.1, eps=0.025)
+    assert ws.breakpoints().tolist() == [0.0, 0.025, 0.1]
+    times = np.linspace(0.0, 0.1, 9)
+    times[2] = 0.025 + offset * 0.1
+    field = ha.SolutionField(grid=grid, times=times, values=np.ones((9, 33)))
+    if not refused:
+        assert np.allclose(ha.time_average(field, ws).values, 1.025, rtol=1e-11)  # kappa = 1
+        return
+    with pytest.raises(ha.BreakpointUnresolved,
+                       match="^time grid misses weight breakpoint t = 0.025$"):
+        ha.time_average(field, ws)
+
+
 def _reference_source_row(src, t):
-    """Reference: the source row at t, linear between knots and held at the
-    end rows beyond them (the former `SourceTerm.values_at`, verbatim)."""
+    """Reference: the source row at a t strictly inside its knots, linear
+    between them (the former `SourceTerm.values_at`, its end holds left out)."""
     t = float(t)
-    if t <= src.times[0]:
-        return src.values[0]
-    if t >= src.times[-1]:
-        return src.values[-1]
     i = int(np.searchsorted(src.times, t, side="right") - 1)
     s = (t - src.times[i]) / (src.times[i + 1] - src.times[i])
     return (1.0 - s) * src.values[i] + s * src.values[i + 1]
@@ -280,8 +307,8 @@ def test_factored_stepper_matches_per_step_solve_bit_for_bit(n_nodes):
                          a0=lambda x: 2.0 - x)
     rng = np.random.default_rng(7)
     xi = rng.standard_normal(n_nodes)  # nonzero ends: the stepper must clear them
-    # the source stops short of the horizon, so the last steps use its final row
-    knots = np.array([0.0, 0.013, 0.07, 0.11, 0.17])
+    # knots off the grid; the last one at the horizon
+    knots = np.array([0.0, 0.013, 0.07, 0.11, 0.2])
     src = ha.SourceTerm.from_grid_history(grid, knots, rng.standard_normal((5, n_nodes)))
     cfg = ha.StepperConfig(n_nodes=n_nodes, n_steps=64, breakpoints=(0.0301, 0.0917, 0.155))
     assert np.unique(np.diff(cfg.time_grid(horizon))).size > 3
@@ -313,6 +340,29 @@ def test_source_knots_join_the_time_grid():
     assert 0.013 in fields[0].times and 0.061 in fields[0].times
     assert np.array_equal(fields[0].times, fields[1].times)
     assert np.array_equal(fields[0].values, fields[1].values)
+
+
+@pytest.mark.parametrize("last_knot", [0.05, 0.1 * (1.0 - 1e-11)], ids=["half", "just_short"])
+def test_source_that_stops_short_of_the_horizon_is_refused_as_solve_forward_refuses_it(last_knot):
+    grid = ha.Grid.uniform(1.0, 33)
+    es = ha.build_eigensystem(ha.OperatorSpec.constant(1.0), grid, 31)
+    src = ha.SourceTerm.from_callable(grid, lambda x, t: np.sin(np.pi * x), [0.0, last_knot])
+    with pytest.raises(ha.TimeOutOfRange) as spectral:
+        ha.solve_forward(ha.basis_vector(es, 0), src, [0.0, 0.1])
+    with pytest.raises(ha.TimeOutOfRange) as oracle:
+        ha.step_evolution(ha.OperatorSpec.constant(1.0), _first_mode(grid), src, 0.1,
+                          ha.StepperConfig(n_nodes=33, n_steps=16))
+    assert str(oracle.value) == str(spectral.value) == f"t = 0.1 outside [0, {last_knot:g}]"
+
+
+def test_source_within_the_slack_of_the_horizon_reaches_it():
+    # the 1e-12 relative slack of `solve_forward`: the grid still ends at exactly 0.1
+    grid = ha.Grid.uniform(1.0, 33)
+    src = ha.SourceTerm.from_callable(grid, lambda x, t: np.sin(np.pi * x), [0.0, 0.1 * (1 - 5e-13)])
+    field = ha.step_evolution(ha.OperatorSpec.constant(1.0), _first_mode(grid), src, 0.1,
+                              ha.StepperConfig(n_nodes=33, n_steps=16))
+    assert np.array_equal(field.times, np.linspace(0.0, 0.1, 17))
+    assert np.all(np.isfinite(field.values))
 
 
 def test_non_finite_state_raises_naming_the_step():

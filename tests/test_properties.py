@@ -144,6 +144,11 @@ SMALL = settings(PROFILE, max_examples=50)
 
 @SMALL
 @given(es=constant_systems() | tabulated_systems(), ws=weights(admissible=True), rng=RNGS)
+# a mirror-symmetric table: three eigenvalue pairs round to one double each
+@example(es=ha.build_eigensystem(ha.OperatorSpec.from_table(1.0, [0.0, 0.5, 1.0], [1.0, 0.5, 1.0],
+                                                            [0.0, 0.0, 0.0]),
+                                 ha.Grid.uniform(1.0, 65), 63),
+         ws=ha.WeightSpec.average(1.0), rng=np.random.default_rng(0))
 @pytest.mark.filterwarnings("ignore::UserWarning")  # the curvature-tail warning of random data
 def test_recover_initial_inverts_the_weighted_average(es, ws, rng):
     xi = ha.SpectralVector(es, rng.standard_normal(es.n_modes))

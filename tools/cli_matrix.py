@@ -8,11 +8,13 @@ every case then runs ``python -m heatavg`` from each tree with
 ``OPENBLAS_NUM_THREADS=1`` and ``PYTHONDONTWRITEBYTECODE=1``.  A case is
 identical when the exit code, stdout, stderr (with the case's out-dir path
 replaced by ``<out>``) and the SHA-256 of every file in its ``--out-dir``
-agree.  The matrix is 5 operators x 5 weights x 15 commands, plus ``figure1``
-on each of the 25 configs, on 129 nodes with N = 40 and 128 oracle steps:
-400 cases.  ``phi.csv`` is ``(1 + t/T) sin(pi x/L)``, with its knots on the
-128-step grid; ``phi_off.csv`` is ``sin(pi x/L)`` times 1, 3, -1 and 2 at
-0, 0.013, 0.061 and 0.1, kinks off that grid.  One oracle case starts from
+agree.  The matrix is 5 operators x 6 weights x 15 commands, plus ``figure1``
+on each of the 30 configs, on 129 nodes with N = 40 and 128 oracle steps:
+480 cases.  The ``near_end`` weight's last piece ends at ``T (1 - 5e-13)``,
+within the oracle's 1e-12 relative slack of the horizon.  ``phi.csv`` is
+``(1 + t/T) sin(pi x/L)``, with its knots on the 128-step grid;
+``phi_off.csv`` is ``sin(pi x/L)`` times 1, 3, -1 and 2 at 0, 0.013, 0.061
+and 0.1, kinks off that grid.  One oracle case starts from
 a profile near 1e306, whose first step overflows, so the matrix also
 compares the non-finite-state error.
 The operator q = -3000 grows its first mode so fast that at 128 steps
@@ -65,9 +67,11 @@ WEIGHTS = {
     "table": "case = table\ntable = w.txt\nkappa = 0.5\nT1 = 0.03\n",
     "zero": "case = zero\nkappa = 1\n",
     "tiny": "case = table\ntable = tiny.txt\n",
+    "near_end": "case = table\ntable = near_end.txt\n",
 }
 WEIGHT_TABLE = "0.0 0.03 1.0\n0.03 0.07 0.5\n0.07 0.1 2.0\n"
 TINY_TABLE = "0.0 0.1 1e-310\n"  # multipliers below the smallest normal double
+NEAR_END_TABLE = f"0.0 0.04 1.0\n0.04 {HORIZON * (1.0 - 5e-13)!r} 0.5\n"
 
 COMMANDS = {
     "spectrum": ["spectrum", "{cfg}"],
@@ -110,6 +114,7 @@ def write_inputs(root: Path) -> list[str]:
     (root / "coeffs.txt").write_text(COEFF_TABLE)
     (root / "w.txt").write_text(WEIGHT_TABLE)
     (root / "tiny.txt").write_text(TINY_TABLE)
+    (root / "near_end.txt").write_text(NEAR_END_TABLE)
     configs = []
     for (op, op_text), (w, w_text) in itertools.product(OPERATORS.items(), WEIGHTS.items()):
         name = f"{op}__{w}.cfg"
