@@ -78,13 +78,12 @@ def _phis(z: np.ndarray, order: int) -> list[np.ndarray]:
     return phis
 
 
-def _rows_at(knots: np.ndarray, rows: np.ndarray, times: np.ndarray):
-    """Yield ``rows`` (one per knot, two or more) linearly interpolated at each
-    of ``times``, none before the first knot; one search finds every piece."""
+def _knot_pieces(knots: np.ndarray, times: np.ndarray):
+    """The piece i between two or more knots that holds each of ``times``, none
+    before the first knot, and the fraction s of it passed: one search finds
+    every piece, and rows at the knots interpolate as (1 - s) r_i + s r_{i+1}."""
     piece = np.minimum(np.searchsorted(knots, times, side="right") - 1, knots.size - 2)
-    frac = (times - knots[piece]) / np.diff(knots)[piece]
-    for i, s in zip(piece.tolist(), frac.tolist()):
-        yield (1.0 - s) * rows[i] + s * rows[i + 1]
+    return piece, (times - knots[piece]) / np.diff(knots)[piece]
 
 
 def _trapezoid_in_time(times: np.ndarray, w_mid=1.0) -> np.ndarray:
@@ -125,8 +124,10 @@ class SolutionField:
         if not self.times[0] <= t <= self.times[-1]:
             raise _time_error(t, self.times[0], self.times[-1])
         i = int(np.searchsorted(self.times, t))
-        row = self.values[i] if self.times[i] == t else next(_rows_at(self.times, self.values, [t]))
-        return GridFunction(self.grid, row)
+        if self.times[i] == t:
+            return GridFunction(self.grid, self.values[i])
+        (i,), (s,) = _knot_pieces(self.times, np.array([t]))
+        return GridFunction(self.grid, (1.0 - s) * self.values[i] + s * self.values[i + 1])
 
     def norm_l2(self) -> float:
         """Space-time L2 norm (trapezoid in both directions)."""

@@ -2,11 +2,11 @@
 
 Crank-Nicolson time stepping of the diffusion problem on a time grid from
 exactly 0 to the horizon that holds the source's knots, one L D L^T solve on
-the interior nodes per step, plus weighted trapezoid averaging in time;
-neither makes a temporary the size of the field.  This module assembles its
-own difference operator from the OperatorSpec samples and never touches
-eigen data, so agreement with the spectral modules is a genuine cross-check
-rather than a tautology.
+the interior nodes and no operator product per step, plus weighted
+trapezoid averaging in time; neither makes a temporary the size of the
+field.  This module assembles its own difference operator from the
+OperatorSpec samples and never touches eigen data, so agreement with the
+spectral modules is a genuine cross-check rather than a tautology.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from ._lapack import routines
 from .basis import GridFunction, GridMismatch, OperatorSpec
-from .forward import SolutionField, SourceTerm, _checked_times, _rows_at, _trapezoid_in_time
+from .forward import SolutionField, SourceTerm, _checked_times, _knot_pieces, _trapezoid_in_time
 
 
 class SingularStep(RuntimeError):
@@ -73,20 +73,24 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     A source must reach ``horizon``, else `solve_forward`'s `TimeOutOfRange`.
     Its knots join ``cfg.breakpoints`` in the time grid, so each step lies in
     one linear piece of the source and is driven by its exact integral
-    ``dt * phi(t_mid)``, the midpoint row of `forward._rows_at` (the rule of
-    the source's `slice_at`).  Before the first step, each step
-    size is factored, in step order, as L D L^T of the symmetric interior
-    matrix I - (dt/2) A (LAPACK ``dpttrf``, no pivots), or refused with
-    `SingularStep` naming its first step if it is not positive definite (dt
-    too large for a negative eigenvalue).  Each step forms its right-hand
-    side in the interior of the field's next row and back-solves it there
-    (``dpttrs``), so the boundary stays zero.
+    ``dt * phi(t_mid)``: the step is the implicit midpoint rule, taken in its
+    two-stage form (a backward Euler half step, then linear extrapolation).
+    Before the first step, each step size is factored, in step order, as
+    L D L^T of the symmetric interior matrix (I - (dt/2) A) / 2 (LAPACK
+    ``dpttrf``, no pivots), or refused with `SingularStep` naming its first
+    step if it is not positive definite (dt too large for a negative
+    eigenvalue).  Each step writes ``u + (dt/2) phi(t_mid)`` into the
+    interior of the field's next row, back-solves it there (``dpttrs``; the
+    halved matrix gives 2 v, twice the half-step state v, exactly) and
+    subtracts ``u``, leaving ``u' = 2 v - u``; no operator product is formed,
+    no array allocated, and the boundary stays zero.  The source enters
+    through per-step weights on its two knot rows, from `forward`'s one knot
+    search.
 
     Floating-point warnings are off.  A non-finite state never turns finite
-    again (each right-hand side holds its own state, and the back-solve only
-    adds, multiplies and divides by finite factors), so the last state is
-    checked once; only if it fails are the states scanned, and the first
-    non-finite one raises `SingularStep` naming the step that wrote it
+    again (where ``u`` is not finite, neither is ``2 v - u``), so the last
+    state is checked once; only if it fails are the states scanned, and the
+    first non-finite one raises `SingularStep` naming the step that wrote it
     (step n writes state n + 1).
     """
     dpttrf, dpttrs = routines("dpttrf", "dpttrs")
@@ -110,46 +114,40 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     off = a_mid[1:-1] / h**2 if grid.n_nodes > 3 else np.zeros(1)
     diag = -(a_mid[:-1] + a_mid[1:]) / h**2 + a0_nodes[1:-1]
 
-    # ``factors`` maps each step size to its (L D L^T factors, 0.5 dt off, 0.5 dt)
+    # ``factors`` maps each step size to the L D L^T factors of its matrix
     factors = {}
     for n, dt in enumerate(dts):
         if dt not in factors:
-            *ldl, info = dpttrf(1.0 - 0.5 * dt * diag, -0.5 * dt * off,
+            *ldl, info = dpttrf(0.5 - 0.25 * dt * diag, -0.25 * dt * off,
                                 overwrite_d=1, overwrite_e=1)
             if info > 0:
                 raise SingularStep(f"step matrix not positive definite at step {n}: "
                                    f"dt = {dt:g} is too large for a negative eigenvalue")
-            # 0.5 * dt * off * u[1:] evaluates 0.5 * dt * off first,
-            # so caching that product leaves every step's bits unchanged
-            factors[dt] = ldl, 0.5 * dt * off, 0.5 * dt
+            factors[dt] = ldl
 
     values = np.zeros((times.size, grid.n_nodes))
     values[0, 1:-1] = xi.values[1:-1]
-
+    interior = values[:, 1:-1]
     if src is not None:
-        source_rows = _rows_at(src.times, src.values[:, 1:-1], 0.5 * (times[:-1] + times[1:]))
-        drive = np.empty(grid.n_nodes - 2)
-    off_term = np.empty(grid.n_nodes - 3)
-    # each state's interior, and that interior less its last (head) or first
-    # (tail) node: step n reads state n and writes n + 1
-    interior, head, tail = values[:, 1:-1], values[:, 1:-2], values[:, 2:-1]
-    u, u_head, u_tail = interior[0], head[0], tail[0]
+        # step n's drive (dt/2) phi(t_mid) is a_n r_i + b_n r_{i+1}
+        rows, scratch = src.values[:, 1:-1], np.empty(grid.n_nodes - 2)
+        piece, frac = _knot_pieces(src.times, 0.5 * (times[:-1] + times[1:]))
+        half_dt = 0.5 * np.diff(times)
+        drives = zip(piece.tolist(), (half_dt * (1.0 - frac)).tolist(), (half_dt * frac).tolist())
+    u = interior[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for dt, rhs, rhs_head, rhs_tail in zip(dts, interior[1:], head[1:], tail[1:]):
-            ldl, half_off, half_dt = factors[dt]
-            # u + 0.5 dt (diag u), then the off-diagonal terms
-            np.multiply(diag, u, out=rhs)
-            rhs *= half_dt
-            rhs += u
-            np.multiply(half_off, u_tail, out=off_term)
-            rhs_head += off_term
-            np.multiply(half_off, u_head, out=off_term)
-            rhs_tail += off_term
-            if src is not None:
-                np.multiply(next(source_rows), dt, out=drive)
-                rhs += drive
-            dpttrs(*ldl, rhs, overwrite_b=1)
-            u, u_head, u_tail = rhs, rhs_head, rhs_tail
+        for dt, rhs in zip(dts, interior[1:]):
+            if src is None:
+                np.copyto(rhs, u)
+            else:
+                i, a, b = next(drives)
+                np.multiply(rows[i], a, out=rhs)
+                rhs += u
+                np.multiply(rows[i + 1], b, out=scratch)
+                rhs += scratch
+            dpttrs(*factors[dt], rhs, overwrite_b=1)
+            rhs -= u
+            u = rhs
     if not np.isfinite(values[-1]).all():
         finite = np.isfinite(values[1:]).all(axis=1)
         raise SingularStep(f"non-finite state at step {int(finite.argmin())}")

@@ -156,6 +156,28 @@ def test_time_average_makes_no_field_sized_temporary():
     assert peak <= field.values.nbytes / 8
 
 
+@pytest.mark.parametrize("with_source", [False, True], ids=["no_source", "source"])
+def test_step_evolution_makes_no_field_sized_temporary(with_source):
+    # the field itself is the only array its size: a drive prebuilt for all
+    # steps at once would double the peak
+    grid = ha.Grid.uniform(1.0, 513)
+    op = ha.OperatorSpec(1.0, a=lambda x: 1.0 + 0.5 * np.sin(3.0 * x), a0=lambda x: 2.0 - x)
+    src = None
+    if with_source:
+        knots = np.linspace(0.0, 0.1, 9)
+        src = ha.SourceTerm.from_callable(grid, lambda x, t: (1.0 + 10.0 * t) * np.sin(np.pi * x),
+                                          knots)
+    cfg = ha.StepperConfig(n_nodes=513, n_steps=1024)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        field = ha.step_evolution(op, _first_mode(grid), src, 0.1, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.125 * field.values.nbytes
+
+
 def test_missing_breakpoint_detected():
     grid = ha.Grid.uniform(1.0, 33)
     times = np.linspace(0.0, 0.1, 8)  # 0.03 is not a grid point
@@ -243,24 +265,27 @@ def test_time_average_matches_breakpoints_within_1e_12_of_the_horizon(offset, re
         ha.time_average(field, ws)
 
 
-def _reference_source_row(src, t):
-    """Reference: the source row at a t strictly inside its knots, linear
-    between them (the former `SourceTerm.values_at`, its end holds left out)."""
+def _reference_piece(src, t):
+    """Reference: the knot interval i of the source holding a t strictly inside
+    its knots, and the fraction s of it passed (linear between knots)."""
     t = float(t)
     i = int(np.searchsorted(src.times, t, side="right") - 1)
-    s = (t - src.times[i]) / (src.times[i + 1] - src.times[i])
-    return (1.0 - s) * src.values[i] + s * src.values[i + 1]
+    return i, (t - src.times[i]) / (src.times[i + 1] - src.times[i])
 
 
-def _reference_step_evolution(op, xi, src, horizon, cfg, banded=False):
-    """Reference: `step_evolution`'s arithmetic with a fresh L D L^T
-    factorization and solve at every step (``dpttrf``, ``dpttrs``; or
-    `solve_banded` when ``banded``), on fresh arrays, with no cache and no
-    in-place writes, and with its input and finiteness checks left out: on
-    the time grid with the source's knots merged into the breakpoints, each
-    step is driven by ``dt * phi(t_mid)``; it marches on through non-finite
-    states and stops before the first step whose matrix ``dpttrf`` refuses.
-    Returns the times, the states and that step, or None."""
+def _reference_step_evolution(op, xi, src, horizon, cfg, banded=False, textbook=False):
+    """Reference: `step_evolution`'s step in its two-stage form, with a fresh
+    L D L^T factorization and solve of I - (dt/2) A at every step (``dpttrf``,
+    ``dpttrs``; or `solve_banded` when ``banded``), on fresh arrays, with no
+    cache and no in-place writes, and with its input and finiteness checks
+    left out: on the time grid with the source's knots merged into the
+    breakpoints, step n solves (I - (dt/2) A) v = u + (dt/2) phi(t_mid), its
+    drive summed in the program's order, and sets u' = 2 v - u.  With
+    ``textbook`` it solves the Crank-Nicolson step as usually written
+    instead, (I - (dt/2) A) u' = (I + (dt/2) A) u + dt phi(t_mid).  It
+    marches on through non-finite states and stops before the first step
+    whose matrix ``dpttrf`` refuses.  Returns the times, the states and that
+    step, or None."""
     grid = xi.grid
     a_mid, a0_nodes = op.sample(grid)
     h = grid.h
@@ -282,19 +307,28 @@ def _reference_step_evolution(op, xi, src, horizon, cfg, banded=False):
         d, e, info = dpttrf(1.0 - 0.5 * dt * diag, -0.5 * dt * off if off.size else np.zeros(1))
         if info > 0:
             return times, values, n
-        rhs = u + 0.5 * dt * (diag * u)
-        rhs[:-1] += 0.5 * dt * off * u[1:]
-        rhs[1:] += 0.5 * dt * off * u[:-1]
         if src is not None:
-            rhs += dt * _reference_source_row(src, 0.5 * (times[n] + times[n + 1]))[1:-1]
+            i, s = _reference_piece(src, 0.5 * (times[n] + times[n + 1]))
+            rows = src.values[:, 1:-1]
+        if textbook:
+            rhs = u + 0.5 * dt * (diag * u)
+            rhs[:-1] += 0.5 * dt * off * u[1:]
+            rhs[1:] += 0.5 * dt * off * u[:-1]
+            if src is not None:
+                rhs += dt * ((1.0 - s) * rows[i] + s * rows[i + 1])
+        elif src is None:
+            rhs = u.copy()
+        else:
+            rhs = 0.5 * dt * (1.0 - s) * rows[i] + u + 0.5 * dt * s * rows[i + 1]
         if banded:
             ab = np.zeros((3, n_int))
             ab[0, 1:] = -0.5 * dt * off
             ab[1, :] = 1.0 - 0.5 * dt * diag
             ab[2, :-1] = -0.5 * dt * off
-            u = solve_banded((1, 1), ab, rhs, check_finite=False)
+            v = solve_banded((1, 1), ab, rhs, check_finite=False)
         else:
-            u = dpttrs(d, e, rhs)[0]
+            v = dpttrs(d, e, rhs)[0]
+        u = v if textbook else 2.0 * v - u
         values[n + 1, 1:-1] = u
     return times, values, None
 
@@ -320,10 +354,14 @@ def test_factored_stepper_matches_per_step_solve_bit_for_bit(n_nodes):
         assert np.array_equal(field.times, times)
         assert np.array_equal(field.values, values)
         assert np.array_equal(np.signbit(field.values), np.signbit(values))
-        # an independent solver, pivoted LU on the band, agrees to rounding
-        _, banded, _ = _reference_step_evolution(op, ha.GridFunction(grid, xi), source,
-                                                 horizon, cfg, banded=True)
-        assert np.max(np.abs(banded - field.values)) <= 1e-12 * np.max(np.abs(field.values))
+        # an independent solver, pivoted LU on the band, agrees to rounding;
+        # so does the textbook step (I + (dt/2) A) u + dt phi(t_mid), which
+        # shows the two-stage step is the same Crank-Nicolson step
+        scale = np.max(np.abs(field.values))
+        for variant in ({"banded": True}, {"textbook": True}):
+            _, other, _ = _reference_step_evolution(op, ha.GridFunction(grid, xi), source,
+                                                    horizon, cfg, **variant)
+            assert np.max(np.abs(other - field.values)) <= 1e-12 * scale
 
 
 def test_source_knots_join_the_time_grid():
@@ -376,14 +414,15 @@ def test_non_finite_state_raises_naming_the_step():
 
 
 def test_non_finite_state_mid_run_names_its_step_without_a_warning():
-    # q = -400 grows the first mode by about 1.88 per step; step 44 reads a
-    # state near 1e302, where diag * u overflows, so the state it writes is
-    # the first non-finite one: state 45 of 64, so not the last state
+    # q = -400 grows the first mode by about 1.88 per step; a step forms no
+    # diag * u product, so the first non-finite state is written by the step
+    # whose back-solve y = 2 v (about u + u') passes 1.8e308: step 62 writes
+    # state 63 of 64, so not the last state
     grid = ha.Grid.uniform(1.0, 1025)
     op = ha.OperatorSpec.constant(1.0, q=-400.0)
     xi = ha.GridFunction(grid, 1e290 * np.sin(np.pi * grid.nodes))
     cfg = ha.StepperConfig(n_nodes=1025, n_steps=64)
-    with pytest.raises(ha.SingularStep, match="non-finite state at step 44$"):
+    with pytest.raises(ha.SingularStep, match="non-finite state at step 62$"):
         ha.step_evolution(op, xi, None, 0.1, cfg)
 
 

@@ -65,6 +65,10 @@ def weights(draw, admissible: bool):
 @PROFILE
 @given(ws=weights(admissible=True), length=st.floats(1.0, np.pi),
        diffusion=st.floats(0.5, 2.0), q=st.floats(-1500.0, -1e-3))
+# the multiplier of the leading (negative) mode is 2.19e305: scaling it by its
+# eigenvalue would overflow, and the band leaves it unscaled
+@example(ws=ha.WeightSpec.from_pieces(1.0, ((0.0, 0.742, 1.0),), 0.742), length=2.0,
+         diffusion=1.0, q=-950.0)
 def test_multiplier_band_holds_or_names_the_mode(ws, length, diffusion, q):
     # 60 modes on (0, L <= pi) reach lambda >= 0.5 * 60^2 - 1500 > 0; a very
     # negative q overflows exp(-lambda t) in the leading modes instead
@@ -82,7 +86,8 @@ def test_multiplier_band_holds_or_names_the_mode(ws, length, diffusion, q):
     lam = es.lambdas
     assert sc.m == es.first_positive + 1 and lam[sc.m - 1] > 0.0 >= lam[: sc.m - 1].max(initial=0.0)
     mult = ws.multiplier(lam)
-    scaled = np.where(lam > 0.0, lam * mult, mult)
+    # only the positive modes are scaled by their eigenvalue, as in the band
+    scaled = np.concatenate([mult[: sc.m - 1], lam[sc.m - 1:] * mult[sc.m - 1:]])
     assert 0.0 < sc.c1 < sc.c2
     assert np.all(scaled >= sc.c1 * (1.0 - 1e-12)) and np.all(scaled <= sc.c2 * (1.0 + 1e-12))
 

@@ -8,15 +8,17 @@ every case then runs ``python -m heatavg`` from each tree with
 ``OPENBLAS_NUM_THREADS=1`` and ``PYTHONDONTWRITEBYTECODE=1``.  A case is
 identical when the exit code, stdout, stderr (with the case's out-dir path
 replaced by ``<out>``) and the SHA-256 of every file in its ``--out-dir``
-agree.  The matrix is 5 operators x 6 weights x 15 commands, plus ``figure1``
+agree.  The matrix is 5 operators x 6 weights x 16 commands, plus ``figure1``
 on each of the 30 configs, on 129 nodes with N = 40 and 128 oracle steps:
-480 cases.  The ``near_end`` weight's last piece ends at ``T (1 - 5e-13)``,
+510 cases.  The ``near_end`` weight's last piece ends at ``T (1 - 5e-13)``,
 within the oracle's 1e-12 relative slack of the horizon.  ``phi.csv`` is
 ``(1 + t/T) sin(pi x/L)``, with its knots on the 128-step grid;
 ``phi_off.csv`` is ``sin(pi x/L)`` times 1, 3, -1 and 2 at 0, 0.013, 0.061
-and 0.1, kinks off that grid.  One oracle case starts from
-a profile near 1e306, whose first step overflows, so the matrix also
-compares the non-finite-state error.
+and 0.1, kinks off that grid.  One oracle case starts from a profile
+near 1.2e306, which the oracle marches to a finite field, and another from
+the same profile near 1.2e308 (scaled after the product, since 1e308 x
+overflows first), whose first step overflows, so the matrix also compares
+the non-finite-state error.
 The operator q = -3000 grows its first mode so fast that at 128 steps
 1 + lambda_1 dt / 2 is about -0.17: the oracle's step matrix is not positive
 definite.
@@ -88,7 +90,8 @@ COMMANDS = {
     "oracle_phi": ["oracle", "{cfg}", "xi.csv", "--phi", "phi.csv"],
     "oracle_phi_off": ["oracle", "{cfg}", "xi.csv", "--phi", "phi_off.csv"],
     "invert_phi_off": ["invert", "{cfg}", "mu.csv", "--phi", "phi_off.csv"],
-    "oracle_overflow": ["oracle", "{cfg}", "huge.csv"],
+    "oracle_huge": ["oracle", "{cfg}", "huge.csv"],
+    "oracle_overflow": ["oracle", "{cfg}", "xi_overflow.csv"],
 }
 
 
@@ -102,6 +105,7 @@ def write_inputs(root: Path) -> list[str]:
     x = np.linspace(0.0, LENGTH, N_NODES)
     _csv(root / "xi.csv", "x,value", zip(x, x * (LENGTH - x) * np.exp(-x / 2.0)))
     _csv(root / "huge.csv", "x,value", zip(x, 1e306 * x * (LENGTH - x) * np.exp(-x / 2.0)))
+    _csv(root / "xi_overflow.csv", "x,value", zip(x, x * (LENGTH - x) * np.exp(-x / 2.0) * 1e308))
     _csv(root / "mu.csv", "x,value", zip(x, 0.19 * np.sin(np.pi * x / LENGTH)))
     _csv(root / "hat.csv", "x,value", zip(x, 0.19 * np.minimum(x, LENGTH - x)))
     _csv(root / "ramp.csv", "x,value", zip(x, 0.19 * x / LENGTH))
