@@ -32,7 +32,7 @@ from .fileio import (
 )
 from .forward import solve_forward
 from .inverse import fit_data, recover_initial, solve_inverse
-from .oracle import SingularStep, StepperConfig, step_evolution, time_average
+from .oracle import SingularStep, StepperConfig, _march_average
 from .profiles import cusp_bump, oscillatory_bump
 from .weights import BoundViolated, stability_constants
 
@@ -187,16 +187,13 @@ def _cmd_oracle(cfg: RunConfig, args) -> int:
     src = cfg.source_from_csv(args.phi) if args.phi else None
     breakpoints = tuple(float(b) for b in cfg.weight.breakpoints())
     stepper = StepperConfig(n_nodes=cfg.n_nodes, n_steps=cfg.n_steps, breakpoints=breakpoints)
-    field = step_evolution(cfg.operator, xi, src, cfg.weight.horizon, stepper)
-    averaged = time_average(field, cfg.weight)
+    # keep the evolution only at roughly n_times rows, to keep files sane
+    at = np.linspace(0.0, cfg.weight.horizon, cfg.n_times)
+    field, averaged = _march_average(cfg.operator, xi, src, cfg.weight, stepper, at)
     out = _out_dir(args)
-
-    # thin the stored evolution to roughly n_times rows to keep files sane
-    idx = np.unique(np.searchsorted(field.times, np.linspace(0.0, cfg.weight.horizon, cfg.n_times)))
-    thinned = type(field)(grid=field.grid, times=field.times[idx], values=field.values[idx])
-    write_field_csv(out / "oracle_field.csv", thinned)
+    write_field_csv(out / "oracle_field.csv", field)
     write_grid_csv(out / "oracle_average.csv", averaged)
-    print(f"oracle_field.csv ({idx.size} times) and oracle_average.csv written")
+    print(f"oracle_field.csv ({field.times.size} times) and oracle_average.csv written")
     return EXIT_OK
 
 

@@ -70,29 +70,36 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
                    horizon: float, cfg: StepperConfig) -> SolutionField:
     """March the diffusion forward from ``xi`` with Crank-Nicolson steps.
 
-    A source must reach ``horizon``, else `solve_forward`'s `TimeOutOfRange`.
-    Its knots join ``cfg.breakpoints`` in the time grid, so each step lies in
-    one linear piece of the source and is driven by its exact integral
-    ``dt * phi(t_mid)``: the step is the implicit midpoint rule, taken in its
-    two-stage form (a backward Euler half step, then linear extrapolation).
-    Before the first step, each step size is factored, in step order, as
-    L D L^T of the symmetric interior matrix (I - (dt/2) A) / 2 (LAPACK
-    ``dpttrf``, no pivots), or refused with `SingularStep` naming its first
-    step if it is not positive definite (dt too large for a negative
-    eigenvalue).  Each step writes ``u + (dt/2) phi(t_mid)`` into the
-    interior of the field's next row, back-solves it there (``dpttrs``; the
-    halved matrix gives 2 v, twice the half-step state v, exactly) and
-    subtracts ``u``, leaving ``u' = 2 v - u``; no operator product is formed,
-    no array allocated, and the boundary stays zero.  The source enters
-    through per-step weights on its two knot rows, from `forward`'s one knot
-    search.
-
-    Floating-point warnings are off.  A non-finite state never turns finite
-    again (where ``u`` is not finite, neither is ``2 v - u``), so the last
-    state is checked once; only if it fails are the states scanned, and the
-    first non-finite one raises `SingularStep` naming the step that wrote it
-    (step n writes state n + 1).
+    A source must reach ``horizon``, else `solve_forward`'s `TimeOutOfRange`;
+    its knots join ``cfg.breakpoints`` in the time grid, so each step lies in
+    one linear piece of it and is driven by its exact integral
+    ``dt * phi(t_mid)``: the implicit midpoint rule, in two stages.  Each step
+    size is factored before the first step, as L D L^T of the symmetric
+    interior matrix (I - (dt/2) A) / 2 (``dpttrf``), or refused with
+    `SingularStep` naming its first step if that is not positive definite.
+    A step writes ``u + (dt/2) phi(t_mid)`` (two weighted knot rows) into the
+    interior of the next row, back-solves it there (``dpttrs``, giving 2 v
+    exactly) and subtracts ``u``, leaving ``u' = 2 v - u``: no operator
+    product, no array allocated, the boundary kept zero.  Floating-point
+    warnings are off; a non-finite state never turns finite again, so only
+    the last state is checked, and if it fails the first non-finite one
+    raises `SingularStep` naming the step that wrote it (step n writes state
+    n + 1).
     """
+    times, march = _march(op, xi, src, horizon, cfg)
+    values = np.zeros((times.size, xi.grid.n_nodes))
+    if not np.isfinite(march(values[:, 1:-1])).all():
+        finite = np.isfinite(values[1:]).all(axis=1)
+        raise SingularStep(f"non-finite state at step {int(finite.argmin())}")
+    return SolutionField(grid=xi.grid, times=times, values=values)
+
+
+def _march(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None, horizon: float,
+           cfg: StepperConfig):
+    """`step_evolution`'s checks, time grid and factors or refusals.  Returns
+    the time grid and ``march(rows)``, to be run once, which writes state n
+    into the n-th of the caller's interior ``rows``, reads each back only as
+    the next step's start, and returns the last state."""
     dpttrf, dpttrs = routines("dpttrf", "dpttrs")
 
     grid = xi.grid
@@ -107,12 +114,11 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
     dts = np.diff(times).tolist()
 
     a_mid, a0_nodes = op.sample(grid)
-    h = grid.h
     # Interior difference operator of (a u')' + a0 u: symmetric tridiagonal,
     # ``off`` both above and below ``diag``; a 3-node grid's 1 x 1 matrix gets
     # one dummy entry, which the wrappers want and LAPACK never reads
-    off = a_mid[1:-1] / h**2 if grid.n_nodes > 3 else np.zeros(1)
-    diag = -(a_mid[:-1] + a_mid[1:]) / h**2 + a0_nodes[1:-1]
+    off = a_mid[1:-1] / grid.h**2 if grid.n_nodes > 3 else np.zeros(1)
+    diag = -(a_mid[:-1] + a_mid[1:]) / grid.h**2 + a0_nodes[1:-1]
 
     # ``factors`` maps each step size to the L D L^T factors of its matrix
     factors = {}
@@ -125,46 +131,65 @@ def step_evolution(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None,
                                    f"dt = {dt:g} is too large for a negative eigenvalue")
             factors[dt] = ldl
 
-    values = np.zeros((times.size, grid.n_nodes))
-    values[0, 1:-1] = xi.values[1:-1]
-    interior = values[:, 1:-1]
     if src is not None:
         # step n's drive (dt/2) phi(t_mid) is a_n r_i + b_n r_{i+1}
-        rows, scratch = src.values[:, 1:-1], np.empty(grid.n_nodes - 2)
+        knot_rows, scratch = src.values[:, 1:-1], np.empty(grid.n_nodes - 2)
         piece, frac = _knot_pieces(src.times, 0.5 * (times[:-1] + times[1:]))
         half_dt = 0.5 * np.diff(times)
         drives = zip(piece.tolist(), (half_dt * (1.0 - frac)).tolist(), (half_dt * frac).tolist())
-    u = interior[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for dt, rhs in zip(dts, interior[1:]):
-            if src is None:
-                np.copyto(rhs, u)
-            else:
-                i, a, b = next(drives)
-                np.multiply(rows[i], a, out=rhs)
-                rhs += u
-                np.multiply(rows[i + 1], b, out=scratch)
-                rhs += scratch
-            dpttrs(*factors[dt], rhs, overwrite_b=1)
-            rhs -= u
-            u = rhs
-    if not np.isfinite(values[-1]).all():
-        finite = np.isfinite(values[1:]).all(axis=1)
-        raise SingularStep(f"non-finite state at step {int(finite.argmin())}")
 
-    return SolutionField(grid=grid, times=times, values=values)
+    def march(rows):
+        rows = iter(rows)
+        u = next(rows)
+        u[...] = xi.values[1:-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rhs, dt in zip(rows, dts):
+                if src is None:
+                    np.copyto(rhs, u)
+                else:
+                    i, a, b = next(drives)
+                    np.multiply(knot_rows[i], a, out=rhs)
+                    rhs += u
+                    np.multiply(knot_rows[i + 1], b, out=scratch)
+                    rhs += scratch
+                dpttrs(*factors[dt], rhs, overwrite_b=1)
+                rhs -= u
+                u = rhs
+        return u
+
+    return times, march
 
 
-def time_average(field: SolutionField, ws) -> GridFunction:
-    """Weighted trapezoid average in time plus the terminal contribution.
+def _march_average(op: OperatorSpec, xi: GridFunction, src: SourceTerm | None, ws,
+                   cfg: StepperConfig, at) -> tuple[SolutionField, GridFunction]:
+    """``time_average(step_evolution(op, xi, src, ws.horizon, cfg), ws)`` and that
+    field's rows at ``np.unique(np.searchsorted(times, at))``, bit for bit, with
+    no field: a state not kept goes to a two-row ring, and each is added into the
+    average once written (``acc += w_n u_n`` from zero, the contraction's order).
+    A last state not finite is marched again by `step_evolution`, to name its step."""
+    times, march = _march(op, xi, src, ws.horizon, cfg)
+    weights, idx = _time_weights(times, ws), np.unique(np.searchsorted(times, at))
+    kept, average = np.zeros((idx.size, xi.grid.n_nodes)), np.zeros(xi.grid.n_nodes)
 
-    One ``np.einsum`` contraction of the field with per-time weights (each
-    panel's ``0.5 w(t_mid) dt`` at both its ends, ``kappa`` at the last
-    time): no field-sized temporary, and unlike a BLAS matrix-vector
-    product the same bits whatever the thread count.  An end or breakpoint of
-    the weight off the grid by over ``1e-12 * horizon`` (`time_grid`'s slack)
-    raises `BreakpointUnresolved`."""
-    times = field.times
+    def rows():
+        slots, ring = dict(zip(idx.tolist(), kept[:, 1:-1])), np.zeros((2, xi.grid.n_nodes - 2))
+        acc, term = average[1:-1], np.empty(xi.grid.n_nodes - 2)
+        for n, w in enumerate(weights.tolist()):
+            row = slots[n] if n in slots else ring[n % 2]
+            yield row  # the march asks for the next row once it has written this one
+            np.multiply(row, w, out=term)
+            acc += term
+
+    if not np.isfinite(march(rows())).all():
+        step_evolution(op, xi, src, ws.horizon, cfg)
+    return (SolutionField(grid=xi.grid, times=times[idx], values=kept),
+            GridFunction(xi.grid, average))
+
+
+def _time_weights(times: np.ndarray, ws) -> np.ndarray:
+    """`time_average`'s weights on ``times``: ``0.5 w(t_mid) dt`` of each panel
+    at both its ends, ``kappa`` at the last.  A weight end or breakpoint off the
+    grid by over ``1e-12 * horizon`` raises `BreakpointUnresolved`."""
     horizon = ws.horizon
     if abs(times[-1] - horizon) > 1e-12 * horizon:
         raise BreakpointUnresolved("field horizon differs from the weight horizon")
@@ -175,4 +200,11 @@ def time_average(field: SolutionField, ws) -> GridFunction:
     w_mid = ws.value_at(0.5 * (times[:-1] + times[1:]))
     weights = _trapezoid_in_time(times, w_mid)
     weights[-1] += ws.kappa
-    return GridFunction(field.grid, np.einsum("i,ij->j", weights, field.values))
+    return weights
+
+
+def time_average(field: SolutionField, ws) -> GridFunction:
+    """Weighted trapezoid average in time plus the terminal term: one ``np.einsum``
+    with `_time_weights`, no field-sized temporary, the same bits at any thread count."""
+    return GridFunction(field.grid, np.einsum("i,ij->j", _time_weights(field.times, ws),
+                                              field.values))

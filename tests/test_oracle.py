@@ -12,6 +12,9 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 import heatavg as ha
 import heatavg.oracle
+from heatavg import cli
+from heatavg.fileio import write_grid_csv
+from heatavg.oracle import _march_average
 
 
 def _first_mode(grid):
@@ -176,6 +179,34 @@ def test_step_evolution_makes_no_field_sized_temporary(with_source):
     finally:
         tracemalloc.stop()
     assert peak <= 1.125 * field.values.nbytes
+
+
+@pytest.mark.parametrize("with_source", [False, True], ids=["no_source", "source"])
+def test_march_average_holds_only_the_rows_it_keeps(with_source):
+    # the CLI's march keeps 17 of 1025 rows and a two-row ring, not the field
+    # `step_evolution` returns; a first call loads what numpy and LAPACK load
+    # lazily (the extension, `numpy.ma` for `np.unique`), which is not the march
+    grid = ha.Grid.uniform(1.0, 513)
+    op = ha.OperatorSpec(1.0, a=lambda x: 1.0 + 0.5 * np.sin(3.0 * x), a0=lambda x: 2.0 - x)
+    src = None
+    if with_source:
+        knots = np.linspace(0.0, 0.1, 9)
+        src = ha.SourceTerm.from_callable(grid, lambda x, t: (1.0 + 10.0 * t) * np.sin(np.pi * x),
+                                          knots)
+    ws = ha.WeightSpec.quasi_boundary(0.1, eps=0.025, kappa=2.0)
+    cfg = ha.StepperConfig(n_nodes=513, n_steps=1024, breakpoints=tuple(ws.breakpoints()))
+    at = np.linspace(0.0, 0.1, 17)
+    small = ha.Grid.uniform(1.0, 5)
+    _march_average(op, _first_mode(small), None, ws, replace(cfg, n_nodes=5), at)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        kept, _ = _march_average(op, _first_mode(grid), src, ws, cfg, at)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept.times.size == 17
+    assert peak <= 0.25 * (cfg.n_steps + 1) * grid.n_nodes * 8  # a quarter of the field's bytes
 
 
 def test_missing_breakpoint_detected():
@@ -424,6 +455,35 @@ def test_non_finite_state_mid_run_names_its_step_without_a_warning():
     cfg = ha.StepperConfig(n_nodes=1025, n_steps=64)
     with pytest.raises(ha.SingularStep, match="non-finite state at step 62$"):
         ha.step_evolution(op, xi, None, 0.1, cfg)
+
+
+@pytest.mark.parametrize("length, n_nodes, n_steps, amplitude, message", [
+    (1.0, 1025, 64, 1e290, "non-finite state at step 62"),
+    (np.pi, 65, 16, 1.0, "step matrix not positive definite at step 0: dt = 0.00625 is too "
+                         "large for a negative eigenvalue"),
+], ids=["overflow_mid_run", "not_positive_definite"])
+def test_march_average_and_the_cli_name_the_step_step_evolution_names(
+        length, n_nodes, n_steps, amplitude, message, tmp_path, capsys):
+    # the cases of `test_non_finite_state_mid_run_names_its_step_without_a_warning`
+    # and `test_step_too_large_for_a_growing_solution_is_refused`: the CLI's
+    # march keeps no states to scan, so it marches again to name the step
+    grid = ha.Grid.uniform(length, n_nodes)
+    op, ws = ha.OperatorSpec.constant(length, q=-400.0), ha.WeightSpec.average(0.1)
+    xi = ha.GridFunction(grid, amplitude * np.sin(np.pi * grid.nodes / length))
+    cfg = ha.StepperConfig(n_nodes=n_nodes, n_steps=n_steps)
+    for march in (lambda: ha.step_evolution(op, xi, None, 0.1, cfg),
+                  lambda: _march_average(op, xi, None, ws, cfg, np.linspace(0.0, 0.1, 9))):
+        with pytest.raises(ha.SingularStep, match=f"^{message}$"):
+            march()
+    (tmp_path / "run.cfg").write_text(
+        f"[operator]\nL = {length!r}\nq = -400.0\n\n[weight]\ncase = average\n\n"
+        f"[run]\nT = 0.1\nN = 5\nn_nodes = {n_nodes}\nn_steps = {n_steps}\nn_times = 9\n")
+    write_grid_csv(tmp_path / "xi.csv", xi)
+    out = tmp_path / "out"
+    code = cli.main(["oracle", str(tmp_path / "run.cfg"), str(tmp_path / "xi.csv"),
+                     "--out-dir", str(out)])
+    assert (code, capsys.readouterr().err) == (3, f"input error: {message}\n")
+    assert not out.exists()
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)

@@ -2,11 +2,14 @@
 multiplier band, the inversion (round trip and linearity), the CSV files
 (bit-exact round trip), the CLI's exit codes on malformed input, the
 second-order time accuracy of the oracle and the refusal of bad arguments
-to the public calls.
-Deterministic: derandomized, with no example database."""
+to the public calls, and the CLI oracle's streaming march against the
+library's.
+Deterministic by default: derandomized, with no example database.
+``HEATAVG_HYPOTHESIS=deep`` selects a random search ten times as long."""
 
 import contextlib
 import io
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,8 +23,12 @@ import heatavg as ha
 from heatavg import cli
 from heatavg.fileio import (RunConfig, read_grid_csv, read_space_time_csv, write_field_csv,
                             write_grid_csv)
+from heatavg.oracle import _march_average
 
-PROFILE = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+settings.register_profile("derandomized", derandomize=True, database=None, max_examples=100,
+                          deadline=None)
+settings.register_profile("deep", database=None, max_examples=1000, deadline=None)
+PROFILE = settings.get_profile(os.environ.get("HEATAVG_HYPOTHESIS", "derandomized"))
 
 
 def maybe(strategy):
@@ -144,7 +151,7 @@ def test_weight_gate_agrees_with_validate(ws, es):
 
 
 RNGS = st.integers(0, 2**32 - 1).map(np.random.default_rng)
-SMALL = settings(PROFILE, max_examples=50)
+SMALL = settings(PROFILE, max_examples=PROFILE.max_examples // 2)
 
 
 @SMALL
@@ -362,6 +369,27 @@ def test_oracle_average_converges_at_second_order_in_time(case):
     left = damping * np.linalg.norm(ha.synthesize(ha.SpectralVector(es, stiff), es).values)
     assume(ws.kappa * left <= 0.01 * errors[0])
     assert 3.5 <= errors[0] / errors[1] <= 4.5
+
+
+@SMALL
+@given(case=oracle_cases(), n_at=st.sampled_from([2, 17, 1000]))
+def test_oracle_march_average_is_the_library_path_bit_for_bit(case, n_at):
+    # The CLI's march keeps only the rows it writes and sums the average as
+    # it goes.  Its average must be `time_average` of `step_evolution`'s
+    # field, and its rows that field's rows at the CLI's thinning rule, to
+    # the bit; 1000 output times are more than the grid has, so nearly every
+    # row is kept, adjacent rows among them.
+    op, xi, ws, src = case
+    initial = ha.synthesize(xi, xi.es)
+    cfg = ha.StepperConfig(n_nodes=initial.grid.n_nodes, n_steps=64,
+                           breakpoints=tuple(ws.breakpoints()))
+    at = np.linspace(0.0, ws.horizon, n_at)
+    field = ha.step_evolution(op, initial, src, ws.horizon, cfg)
+    kept, average = _march_average(op, initial, src, ws, cfg, at)
+    assert _same_bits(average.values, ha.time_average(field, ws).values)
+    idx = np.unique(np.searchsorted(field.times, at))
+    assert np.array_equal(kept.times, field.times[idx])
+    assert _same_bits(kept.values, field.values[idx])
 
 
 # One argument of a public call replaced by a bad value: a scalar by NaN or

@@ -9,10 +9,12 @@ every case then runs ``python -m heatavg`` from each tree with
 identical when the exit code, stdout, stderr (with the case's out-dir path
 replaced by ``<out>``) and the SHA-256 of every file in its ``--out-dir``
 agree.  The matrix is 5 operators x 6 weights x 16 commands, plus ``figure1``
-on each of the 30 configs, on 129 nodes with N = 40 and 128 oracle steps:
-510 cases.  The ``near_end`` weight's last piece ends at ``T (1 - 5e-13)``,
-within the oracle's 1e-12 relative slack of the horizon.  ``phi.csv`` is
-``(1 + t/T) sin(pi x/L)``, with its knots on the 128-step grid;
+on each of the 30 configs, on 129 nodes with N = 40, 128 oracle steps and 17
+output times, plus each of the 5 ``oracle`` commands again with 2 output
+times and with 2000, more than the oracle's time grid has, so that every row
+is written: 810 cases.  The ``near_end`` weight's last piece ends at
+``T (1 - 5e-13)``, within the oracle's 1e-12 relative slack of the horizon.
+``phi.csv`` is ``(1 + t/T) sin(pi x/L)``, with its knots on the 128-step grid;
 ``phi_off.csv`` is ``sin(pi x/L)`` times 1, 3, -1 and 2 at 0, 0.013, 0.061
 and 0.1, kinks off that grid.  One oracle case starts from a profile
 near 1.2e306, which the oracle marches to a finite field, and another from
@@ -71,6 +73,8 @@ WEIGHTS = {
     "tiny": "case = table\ntable = tiny.txt\n",
     "near_end": "case = table\ntable = near_end.txt\n",
 }
+ORACLE_N_TIMES = (2, 2000)  # n_times of the extra oracle cases; the base configs have 17
+
 WEIGHT_TABLE = "0.0 0.03 1.0\n0.03 0.07 0.5\n0.07 0.1 2.0\n"
 TINY_TABLE = "0.0 0.1 1e-310\n"  # multipliers below the smallest normal double
 NEAR_END_TABLE = f"0.0 0.04 1.0\n0.04 {HORIZON * (1.0 - 5e-13)!r} 0.5\n"
@@ -122,10 +126,12 @@ def write_inputs(root: Path) -> list[str]:
     configs = []
     for (op, op_text), (w, w_text) in itertools.product(OPERATORS.items(), WEIGHTS.items()):
         name = f"{op}__{w}.cfg"
-        (root / name).write_text(
-            f"[operator]\nL = {LENGTH!r}\n{op_text}\n[weight]\n{w_text}\n"
-            f"[run]\nT = {HORIZON!r}\nN = 40\nn_nodes = {N_NODES}\nn_steps = 128\nn_times = 17\n\n"
-            "[figure1]\nN = 30\n")
+        variants = {name: 17, **{f"{op}__{w}__n{n}.cfg": n for n in ORACLE_N_TIMES}}
+        for path, n_times in variants.items():
+            (root / path).write_text(
+                f"[operator]\nL = {LENGTH!r}\n{op_text}\n[weight]\n{w_text}\n"
+                f"[run]\nT = {HORIZON!r}\nN = 40\nn_nodes = {N_NODES}\nn_steps = 128\n"
+                f"n_times = {n_times}\n\n[figure1]\nN = 30\n")
         configs.append(name)
     return configs
 
@@ -134,6 +140,10 @@ def cases(configs: list[str]):
     for cfg in configs:
         for name, argv in COMMANDS.items():
             yield f"{cfg[:-4]}/{name}", [a.format(cfg=cfg) for a in argv]
+            if name.startswith("oracle"):
+                for n in ORACLE_N_TIMES:
+                    yield (f"{cfg[:-4]}/{name}_n_times_{n}",
+                           [a.format(cfg=f"{cfg[:-4]}__n{n}.cfg") for a in argv])
         yield f"{cfg[:-4]}/figure1", ["figure1", cfg]
 
 
